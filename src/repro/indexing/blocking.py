@@ -12,9 +12,10 @@ l ≤ 20 typically suffices") using two complementary indexes:
   edit/Hamming distance (the ``max(|u|,|v|)/(K+1)`` LCS bound).
 
 :class:`MDBlockingIndex` combines both: when the MD has equality premise
-clauses the (small) exact bucket is scanned and every clause verified;
-otherwise similarity candidates seed the scan.  The similarity side is
-engine-switched (``REPRO_MATCH_ENGINE``):
+clauses the (small) exact bucket is scanned and every clause verified —
+after a lossless q-gram signature test drops the members that provably
+fail an edit-budget clause; otherwise similarity candidates seed the
+scan.  The similarity side is engine-switched (``REPRO_MATCH_ENGINE``):
 
 * ``join`` (default) — the filtered inverted-index similarity join of
   :mod:`repro.matching.simjoin`: length/prefix/count filters over a
@@ -39,6 +40,8 @@ from repro.relational.columns import match_engine
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 from repro.indexing.suffix_tree import GeneralizedSuffixTree
+from repro.similarity.predicates import EDIT_FILTER_Q, _as_str
+from repro.similarity.qgrams import edit_signature_admits, qgram_signature
 
 
 class ExactIndex:
@@ -84,7 +87,8 @@ class MDBlockingIndex:
         The ``l`` of the top-``l`` LCS retrieval (paper default ≤ 20).
     use_suffix_tree:
         When false, similarity clauses fall back to scanning all of
-        ``Dm`` (the ablation baseline) under either engine.
+        ``Dm`` and equality buckets are verified unfiltered (the
+        ablation baseline) under either engine.
     engine:
         ``"join"`` or ``"reference"``; defaults to the process-wide
         :func:`~repro.relational.columns.match_engine` flag.
@@ -116,6 +120,16 @@ class MDBlockingIndex:
         self._exact: Optional[ExactIndex] = None
         if self._eq_clauses:
             self._exact = ExactIndex(master, [c.master_attr for c in self._eq_clauses])
+        # Edit-budget clauses prune equality buckets by q-gram signature
+        # (:meth:`_signature_filter`); the ablation scans them unfiltered,
+        # which keeps it the oracle the filter is tested against.
+        self._edit_clauses = (
+            [c for c in self._sim_clauses if c.predicate.edit_budget is not None]
+            if use_suffix_tree
+            else []
+        )
+        #: Signature of each distinct master value the filter has met.
+        self._master_sigs: Dict[str, int] = {}
         # One suffix tree per similarity-compared master attribute that has
         # a usable edit budget; built lazily only when needed.
         self._trees: Dict[str, GeneralizedSuffixTree] = {}
@@ -202,7 +216,10 @@ class MDBlockingIndex:
             key = t.project([c.attr for c in self._eq_clauses])
             if any(is_null(v) for v in key):
                 return []
-            return self._exact.lookup(key)
+            bucket = self._exact.lookup(key)
+            if bucket and self._edit_clauses:
+                return self._signature_filter(t, bucket)
+            return bucket
         if self.join_index is not None:
             value = t[self._join_clause.attr]
             if is_null(value):
@@ -228,6 +245,43 @@ class MDBlockingIndex:
                     out.extend(self._tree_values[clause.master_attr][sid])
                 return out
         return self.master.tuples()
+
+    def _signature_filter(self, t: CTuple, bucket: List[CTuple]) -> List[CTuple]:
+        """The members of *bucket* whose q-gram signatures admit every
+        edit-budget clause against *t*, in bucket order.
+
+        :func:`~repro.similarity.qgrams.edit_signature_admits` is a
+        necessary condition of ``edit_distance <= k`` and null values
+        fail every predicate, so every dropped member provably fails the
+        premise and the result still holds all of the bucket's matches.
+        """
+        sigs = self._master_sigs
+        for clause in self._edit_clauses:
+            value = t[clause.attr]
+            if is_null(value):
+                return []
+            probe_text = _as_str(value)
+            probe: Optional[int] = None
+            budget = clause.predicate.edit_budget
+            kept: List[CTuple] = []
+            for s in bucket:
+                master_value = s[clause.master_attr]
+                if is_null(master_value):
+                    continue
+                text = _as_str(master_value)
+                # Equal strings are within any budget: no signature needed
+                # (often the whole bucket, when the probe is a clean copy).
+                if text != probe_text:
+                    if probe is None:
+                        probe = qgram_signature(probe_text, EDIT_FILTER_Q)
+                    sig = sigs.get(text)
+                    if sig is None:
+                        sig = sigs[text] = qgram_signature(text, EDIT_FILTER_Q)
+                    if not edit_signature_admits(probe, sig, budget, EDIT_FILTER_Q):
+                        continue
+                kept.append(s)
+            bucket = kept
+        return bucket
 
     def _join_matches(self, t: CTuple) -> List[CTuple]:
         """Join-engine ``matches()``: the driving predicate is verified

@@ -584,17 +584,20 @@ class CleaningSession:
     # ------------------------------------------------------------------
     # Incremental apply
     # ------------------------------------------------------------------
-    def apply(self, changeset: Changeset) -> ApplyResult:
+    def apply(self, changeset: Changeset) -> Optional[ApplyResult]:
         """Re-clean after *changeset*; exact, and scoped when provably safe.
 
         The changeset edits the session's **base** (dirty) relation; the
         session then brings the working repair to the state a full
         ``clean()`` of the edited base would produce — via the scoped
         replay when the delta's closure is local, via a warm full replay
-        otherwise (see the module docstring).
+        otherwise (see the module docstring).  An op-less changeset is
+        the :meth:`apply_many` no-op: returns ``None``, mutates nothing.
         """
         if self.working is None or self.base is None:
             raise DataError("CleaningSession.apply() requires a prior clean()")
+        if not changeset.ops:
+            return None
         # All-or-nothing is inherited from Changeset.apply_to, which
         # validates every op before mutating anything; the bookkeeping
         # below it (seeds, dead-tid pruning) only runs after it succeeds.
@@ -751,10 +754,7 @@ class CleaningSession:
         """
         if self.working is None or self.base is None:
             raise DataError("CleaningSession.apply_many() requires a prior clean()")
-        merged = Changeset.concat(changesets)
-        if not merged.ops:
-            return None
-        return self.apply(merged)
+        return self.apply(Changeset.concat(changesets))
 
     def _full_replay(self, timings: Dict[str, float]) -> ApplyResult:
         """Exact fallback: re-clean the edited base inside the session.

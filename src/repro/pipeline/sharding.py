@@ -2075,7 +2075,6 @@ class ShardedCleaningSession:
 
         dead: Set[int] = set()
         perturbed: Set[Cell] = set()
-        names = self.working.schema.names
         for outcome in outcomes:
             dead.update(outcome.dead)
             perturbed.update(outcome.perturbed)
@@ -2089,11 +2088,7 @@ class ShardedCleaningSession:
                 # The stored full-form segments no longer describe a
                 # from-scratch clean of this shard's (now-evolved) base.
                 view.fullform = False
-            for tid, (values, confs) in outcome.rows.items():
-                t = self.working.by_tid(tid)
-                for attr, value, conf in zip(names, values, confs):
-                    t[attr] = value
-                    t.set_conf(attr, conf)
+            self._install_scoped_rows(outcome)
         for tid in dead:
             self._drop_dead_tid(tid)
 
@@ -2145,6 +2140,11 @@ class ShardedCleaningSession:
             o.shard_id: o.full for o in outcomes if o.mode == "full"
         }
         scoped_ids = {o.shard_id for o in outcomes if o.mode == "scoped"}
+        # A scoped shard's re-clean below ships no rows: its edits reach
+        # the merged working relation only through its scoped outcome.
+        for outcome in outcomes:
+            if outcome.mode == "scoped":
+                self._install_scoped_rows(outcome)
         reclean_ids: List[str] = []
         reused = 0
         for sid in self.plan.ids:
@@ -2232,6 +2232,17 @@ class ShardedCleaningSession:
             full_reclean=True,
             timings=timings,
         )
+
+    def _install_scoped_rows(self, outcome: _ApplyOutcome) -> None:
+        """Write a scoped shard apply's perturbed rows (values and
+        confidences) into the merged working relation."""
+        assert self.working is not None
+        names = self.working.schema.names
+        for tid, (values, confs) in outcome.rows.items():
+            t = self.working.by_tid(tid)
+            for attr, value, conf in zip(names, values, confs):
+                t[attr] = value
+                t.set_conf(attr, conf)
 
     def _drop_dead_tid(self, tid: int) -> None:
         """Remove a deleted tuple from the merged working relation *and*

@@ -8,6 +8,7 @@ blocking and similarity joins (Xiao et al. 2011, cited by the paper).
 from __future__ import annotations
 
 import math
+import zlib
 from collections import Counter
 from typing import FrozenSet, Sequence, Set, Tuple
 
@@ -124,6 +125,49 @@ def edit_overlap_bound(len_a: int, len_b: int, k: int, q: int = 2) -> int:
     cannot prune for this length pair.
     """
     return qgram_profile_size(max(len_a, len_b), q) - k * q
+
+
+#: Bits of a gram's bit index in a :func:`qgram_signature`.
+SIGNATURE_INDEX_BITS = 8
+#: Width in bits of a :func:`qgram_signature`.
+SIGNATURE_BITS = 1 << SIGNATURE_INDEX_BITS
+
+
+def qgram_signature(s: str, q: int = 2) -> int:
+    """Fixed-width bit signature of the padded q-gram set of *s*.
+
+    Gram ``g`` (the padded grams of :func:`qgrams`) sets the bit indexed
+    by the top :data:`SIGNATURE_INDEX_BITS` bits of ``crc32(utf32le(g))``:
+    a fixed code, unlike the salted ``hash()``, so signatures — and the
+    filter decisions built on them — repeat across processes.
+    """
+    if q > 1:
+        s = "#" * (q - 1) + s + "#" * (q - 1)
+    # Four bytes per character: each gram is one fixed-width byte slice.
+    data = s.encode("utf-32-le", "surrogatepass")
+    width = 4 * q
+    shift = 32 - SIGNATURE_INDEX_BITS
+    sig = 0
+    for i in range(0, len(data) - width + 1, 4):
+        sig |= 1 << (zlib.crc32(data[i : i + width]) >> shift)
+    return sig
+
+
+def edit_signature_admits(sig_a: int, sig_b: int, k: int, q: int = 2) -> bool:
+    """Whether two :func:`qgram_signature` values allow edit distance <= *k*.
+
+    Necessary condition, so rejecting on ``False`` is lossless: with
+    ``edit_distance <= k`` each string keeps all but at most ``k*q`` of
+    its padded grams in the other (the count bound of
+    :func:`edit_overlap_bound`), and every bit one signature has and the
+    other lacks stands for at least one such lost gram.  Hash collisions
+    only merge bits, which can hide a difference but never invent one.
+    """
+    budget = k * q
+    return (
+        (sig_a & ~sig_b).bit_count() <= budget
+        and (sig_b & ~sig_a).bit_count() <= budget
+    )
 
 
 def edit_prefix_length(k: int, q: int = 2) -> int:

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import NULL, Relation, Schema, parse_rules
 from repro.constraints import ParsedRules
+
+# CI runs ``pytest --hypothesis-profile=ci``: every property test draws
+# the same examples on every run, so a counterexample cannot pass one
+# run and fail the next.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

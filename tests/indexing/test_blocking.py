@@ -3,7 +3,10 @@
 import pytest
 
 from repro.constraints import MD
+from repro.core import UniCleanConfig
+from repro.datasets import generate_dblp
 from repro.indexing import ExactIndex, MDBlockingIndex, build_md_indexes
+from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
 from repro.relational.columns import using_match_engine
 from repro.similarity import edit_within
@@ -100,6 +103,61 @@ class TestMDBlockingIndex:
         indexes = build_md_indexes([md], master)
         assert len(indexes) == 2
         assert all(index.md.is_normalized for index in indexes.values())
+
+
+class TestEqualityBucketSignatureFilter:
+    @pytest.fixture()
+    def blocked_md(self, schema) -> MD:
+        return MD(
+            schema, schema,
+            [("zip", "zip"), ("name", "name", edit_within(2))],
+            [("phone", "phone")],
+        )
+
+    def probe(self, schema, name):
+        return Relation.from_dicts(
+            schema, [{"zip": "11111", "name": name, "phone": "p"}]
+        ).by_tid(0)
+
+    @pytest.mark.parametrize("engine", ["join", "reference"])
+    def test_bucket_members_that_cannot_match_are_dropped(
+        self, schema, master, blocked_md, engine
+    ):
+        index = MDBlockingIndex(blocked_md, master, engine=engine)
+        probe = self.probe(schema, "edinburh royal")
+        assert [s.tid for s in index.candidates(probe)] == [0]
+        assert [s.tid for s in index.matches(probe)] == [0]
+        assert index.candidates(self.probe(schema, NULL)) == []
+
+    def test_ablation_verifies_the_whole_bucket(self, schema, master, blocked_md):
+        index = MDBlockingIndex(blocked_md, master, use_suffix_tree=False)
+        probe = self.probe(schema, "edinburh royal")
+        assert [s.tid for s in index.candidates(probe)] == [0, 2]
+        assert [s.tid for s in index.matches(probe)] == [0]
+
+    def test_cold_dblp_clean_verifies_a_fifth(self):
+        """Every DBLP similarity clause sits beside ``year =``: the filter
+        must cut the clean's verifications at least five-fold and change
+        nothing it produces."""
+        ds = generate_dblp(size=200, master_size=100, seed=1)
+        runs = {}
+        for filtered in (True, False):
+            session = CleaningSession(
+                cfds=ds.cfds, mds=ds.mds, master=ds.master,
+                config=UniCleanConfig(use_suffix_tree=filtered),
+            )
+            result = session.clean(ds.dirty)
+            runs[filtered] = (
+                sum(ix.verify_calls for ix in session.md_indexes.values()),
+                [(f.kind, f.rule_name, f.tid, f.attr, repr(f.old_value),
+                  repr(f.new_value), repr(f.source)) for f in result.fix_log],
+                {t.tid: tuple((repr(t[a]), t.conf(a)) for a in t.schema.names)
+                 for t in result.repaired},
+                result.cost,
+            )
+        (verify, *outputs), (unfiltered_verify, *reference) = runs[True], runs[False]
+        assert 0 < verify * 5 <= unfiltered_verify
+        assert outputs == reference
 
 
 class TestTopLDroppedMatchRegression:

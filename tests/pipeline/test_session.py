@@ -132,9 +132,10 @@ class TestApply:
     def test_empty_changeset_is_noop(self, session):
         result = session.clean(build_relation(DIRTY))
         before = state(result.repaired)
-        out = session.apply(Changeset())
-        assert state(out.repaired) == before
-        assert out.affected == 0 and out.replays == 0
+        log_before = list(session.fix_log)
+        assert session.apply(Changeset()) is None
+        assert state(session.working) == before
+        assert list(session.fix_log) == log_before
 
     def test_affected_is_a_fraction_on_disjoint_edit(self):
         # Two blocks with disjoint value spaces: an edit in one block must

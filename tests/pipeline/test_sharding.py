@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints import CFD, MD
-from repro.core import UniCleanConfig
+from repro.core import UniClean, UniCleanConfig
 from repro.core.fixes import Fix, FixKind
 from repro.core.trace import (
     RoundTrace,
@@ -11,7 +11,7 @@ from repro.core.trace import (
     merge_round_fixes,
     merge_worklist_fixes,
 )
-from repro.datasets import generate_partitioned
+from repro.datasets import generate_partitioned, part_rules
 from repro.exceptions import DataError
 from repro.pipeline import (
     Changeset,
@@ -445,6 +445,43 @@ class TestReviewRegressions:
         # or collision recovery does).
         for tids in sharded.plan.shards:
             sharded.base.restrict(tids)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_mixed_apply_keeps_the_scoped_shards_edit(self, n_workers):
+        """One batch, two shards: a scoped edit in one and a delete that
+        sends the other to its full replay.  The scoped shard's re-clean
+        ships no rows, so its edit must come from its scoped outcome."""
+        ds = generate_partitioned(size=400, n_blocks=4, seed=1)
+        cfds, mds = part_rules(1)
+        config = UniCleanConfig(eta=1.0)
+        reference = CleaningSession(
+            cfds=cfds, mds=mds, master=ds.master, config=config
+        )
+        sharded = ShardedCleaningSession(
+            cfds=cfds, mds=mds, master=ds.master, config=config,
+            n_shards=4, n_workers=n_workers,
+        )
+        try:
+            reference.clean(ds.dirty)
+            sharded.clean(ds.dirty)
+            assert sharded.plan.shard_of[0] != sharded.plan.shard_of[106]
+            batch = [Changeset().edit(0, "score", "777"), Changeset().delete(106)]
+            o1 = reference.apply_many(
+                [Changeset(list(cs.ops)) for cs in batch]
+            )
+            o2 = sharded.apply_many(batch)
+            assert o2.full_reclean
+            assert o2.repaired.by_tid(0)["score"] == "777"
+            scratch = UniClean(
+                cfds=cfds, mds=mds, master=ds.master, config=config
+            ).clean(sharded.base)
+            assert full_state(o2.repaired) == full_state(scratch.repaired)
+            assert full_state(o1.repaired) == full_state(o2.repaired)
+            assert fingerprint(o1.fix_log) == fingerprint(o2.fix_log)
+            assert o1.cost == pytest.approx(o2.cost)
+            assert o1.clean == o2.clean
+        finally:
+            sharded.close()
 
     def test_out_of_order_tids_are_rejected(self):
         from repro.relational import CTuple

@@ -25,7 +25,9 @@ Three families:
    probes, and master edit/insert mutations between lookups (the index
    assumes an immutable master, so mutation means rebuild); candidates
    ⊇ scan matches and matches/find_match byte-identical, for both the
-   edit-k and Jaccard-t filter families.
+   edit-k and Jaccard-t filter families, and for an equality clause
+   beside an edit-k clause under both engines (the q-gram signature
+   filter inside equality buckets).
 3. **Flag mechanics** — the engine switch validates input, restores on
    exit, and the per-index override beats the process-wide flag.
 """
@@ -208,40 +210,64 @@ def _typo(value, op):
     return value
 
 
-def _assert_lookup_equivalence(master, probes, predicate):
-    md = MD(
-        SIM_SCHEMA, SIM_SCHEMA,
-        [("name", "name", predicate)], [("grade", "grade")],
-    )
-    join = MDBlockingIndex(md, master, engine="join")
-    scan = MDBlockingIndex(md, master, use_suffix_tree=False, engine="reference")
+def _assert_scan_equivalent(index, scan, probes):
     for probe in probes:
         true_matches = [s.tid for s in scan.matches(probe)]
         # losslessness: filters never drop a true match
-        assert {s.tid for s in join.candidates(probe)} >= set(true_matches)
+        assert {s.tid for s in index.candidates(probe)} >= set(true_matches)
         # byte-identity: same matches, same order, same witness
-        assert [s.tid for s in join.matches(probe)] == true_matches
-        got = join.find_match(probe)
+        assert [s.tid for s in index.matches(probe)] == true_matches
+        got = index.find_match(probe)
         want = scan.find_match(probe)
         assert (got.tid if got else None) == (want.tid if want else None)
 
 
+def _assert_lookup_equivalence(master, probes, predicate, budget):
+    md = MD(
+        SIM_SCHEMA, SIM_SCHEMA,
+        [("name", "name", predicate)], [("grade", "grade")],
+    )
+    scan = MDBlockingIndex(md, master, use_suffix_tree=False, engine="reference")
+    _assert_scan_equivalent(
+        MDBlockingIndex(md, master, engine="join"), scan, probes
+    )
+    # An equality clause beside edit_within(budget): both engines prune
+    # the equality bucket by q-gram signature; the ablation index
+    # verifies it unfiltered.
+    blocked = MD(
+        SIM_SCHEMA, SIM_SCHEMA,
+        [("grade", "grade"), ("name", "name", edit_within(budget))],
+        [("name", "name")],
+    )
+    scan = MDBlockingIndex(
+        blocked, master, use_suffix_tree=False, engine="reference"
+    )
+    for engine in ("join", "reference"):
+        _assert_scan_equivalent(
+            MDBlockingIndex(blocked, master, engine=engine), scan, probes
+        )
+
+
 class TestFuzzedLookupEquivalence:
-    @given(master_rows, names, typo_ops, mutations, st.sampled_from([0, 1]))
+    @given(
+        master_rows, names, typo_ops, mutations, st.sampled_from([0, 1]),
+        st.integers(min_value=0, max_value=3),
+    )
     @settings(max_examples=30, deadline=None)
     def test_join_lossless_and_identical(
-        self, rows, probe_name, op, master_ops, predicate_index
+        self, rows, probe_name, op, master_ops, predicate_index, budget
     ):
         predicate = PREDICATES[predicate_index]
         master = Relation.from_dicts(
             SIM_SCHEMA, [{"name": n, "grade": "A"} for n in rows]
         )
+        # Grade "A" puts the probe in the original rows' equality bucket.
         probes = [
             Relation.from_dicts(
-                SIM_SCHEMA, [{"name": _typo(probe_name, op), "grade": "Z"}]
+                SIM_SCHEMA, [{"name": _typo(probe_name, op), "grade": "A"}]
             ).by_tid(0)
         ]
-        _assert_lookup_equivalence(master, probes, predicate)
+        _assert_lookup_equivalence(master, probes, predicate, budget)
         # master edits/inserts between lookups: the index contract assumes
         # an immutable master, so mutation means rebuild — equivalence
         # must survive arbitrary interleavings of edits and rebuilds.
@@ -253,7 +279,7 @@ class TestFuzzedLookupEquivalence:
                 tids = list(master.tids())
                 t = master.by_tid(tids[raw % len(tids)])
                 master.set_value(t, "name", value)
-            _assert_lookup_equivalence(master, probes, predicate)
+            _assert_lookup_equivalence(master, probes, predicate, budget)
 
 
 # ----------------------------------------------------------------------

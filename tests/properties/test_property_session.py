@@ -7,7 +7,7 @@ relation would produce, with the same satisfaction verdict — across all
 three phases and for partial pipelines.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import CFD, MD
@@ -112,6 +112,11 @@ def check_apply_equivalence(data, compact_batches, config, with_mds: bool):
         reference = UniClean(cfds=CFDS, mds=mds, master=master, config=config).clean(
             session.base
         )
+        if not changeset.ops:
+            # Every tuple was already deleted: the no-op contract.
+            assert out is None
+            assert state(session.working) == state(reference.repaired)
+            continue
         assert state(out.repaired) == state(reference.repaired)
         assert out.clean == reference.clean
         # The merged log reproduces the same final cell marks.
@@ -143,6 +148,12 @@ class TestApplyEquivalence:
 
     @given(rows, ops, ops)
     @settings(max_examples=40, deadline=None)
+    # The first batch deletes every tuple, so the second is op-less.
+    @example(
+        [("k1", "a1", "b1", 0.0, 0.0, 0.0), ("k2", "a2", "b2", 1.0, 1.0, 1.0)],
+        [("delete", 0), ("delete", 0)],
+        [("edit", 0, "A", "a1", None)],
+    )
     def test_two_batches_compound(self, data, first, second):
         check_apply_equivalence(data, [first, second], CONFIGS[0], with_mds=True)
 

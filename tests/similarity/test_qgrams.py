@@ -1,6 +1,12 @@
-"""Tests for q-grams and Jaccard similarity."""
+"""Tests for q-grams, Jaccard similarity and q-gram signatures."""
+
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.similarity import (
     jaccard_similarity,
@@ -9,6 +15,12 @@ from repro.similarity import (
     qgram_similarity,
     qgrams,
     token_jaccard,
+)
+from repro.similarity.levenshtein import edit_distance
+from repro.similarity.qgrams import (
+    SIGNATURE_BITS,
+    edit_signature_admits,
+    qgram_signature,
 )
 
 
@@ -87,3 +99,67 @@ class TestOverlap:
 
     def test_both_empty(self):
         assert overlap_coefficient(set(), set()) == 1.0
+
+
+# The pad character itself, non-ASCII (an astral one included) and, via
+# min size 0, empty strings.
+CHARS = st.sampled_from(["a", "b", "c", " ", "#", "é", "ß", "字", "\U0001F600"])
+words = st.text(alphabet=CHARS, max_size=12) | st.text(max_size=6)
+edit_ops = st.lists(
+    st.tuples(st.sampled_from(["ins", "del", "sub"]), st.integers(0, 99), CHARS),
+    max_size=5,
+)
+
+
+def _edited(s, ops):
+    for op, raw, ch in ops:
+        if op == "ins":
+            i = raw % (len(s) + 1)
+            s = s[:i] + ch + s[i:]
+        elif s:
+            i = raw % len(s)
+            s = s[:i] + (ch if op == "sub" else "") + s[i + 1 :]
+    return s
+
+
+# Unrelated pairs and pairs a few edits apart (the ones that must pass).
+pairs = st.tuples(words, words) | st.tuples(words, edit_ops).map(
+    lambda drawn: (drawn[0], _edited(*drawn))
+)
+
+
+class TestQgramSignature:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=pairs, k=st.integers(min_value=0, max_value=5))
+    def test_never_rejects_a_pair_within_budget(self, pair, k):
+        a, b = pair
+        if edit_distance(a, b) <= k:
+            assert edit_signature_admits(qgram_signature(a), qgram_signature(b), k)
+
+    def test_fixed_width(self):
+        for s in ["", "#", "a", "abc" * 40, "\U0001F600\ud800"]:
+            assert 0 < qgram_signature(s) < 1 << SIGNATURE_BITS
+
+    def test_rejects_distant_strings(self):
+        a = qgram_signature("similarity joins over strings")
+        b = qgram_signature("probabilistic query processing")
+        assert not edit_signature_admits(a, b, 3)
+        assert edit_signature_admits(a, a, 0)
+
+    def test_same_in_every_process(self):
+        """The gram code is not the salted ``hash()``: signatures (and
+        so the filter's verify counts) repeat across processes."""
+        code = (
+            "from repro.similarity.qgrams import qgram_signature; "
+            "print(qgram_signature('near-duplicate titles \u00e9'))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        runs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for seed in ("1", "2")
+        }
+        assert runs == {str(qgram_signature("near-duplicate titles \u00e9"))}
