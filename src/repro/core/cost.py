@@ -49,6 +49,13 @@ def value_distance(old: Any, new: Any) -> float:
     return 1.0
 
 
+def cell_changed(old: Any, new: Any) -> bool:
+    """Whether a repair changed a cell from *old* to *new*.  Identity
+    comes first: an untouched cell holds the very same object, which
+    must count as unchanged even when it is unequal to itself (NaN)."""
+    return old is not new and old != new
+
+
 def cell_cost(old: Any, new: Any, confidence: Optional[float]) -> float:
     """Cost of changing one cell from *old* to *new* under *confidence*."""
     conf = DEFAULT_CONFIDENCE if confidence is None else confidence
@@ -100,6 +107,6 @@ def repair_cost(repaired: Relation, original: Relation) -> float:
     for t in original:
         r = repaired.by_tid(t.tid)  # type: ignore[arg-type]
         for attr in original.schema.names:
-            if t[attr] != r[attr]:
+            if cell_changed(t[attr], r[attr]):
                 total += cell_cost(t[attr], r[attr], t.conf(attr))
     return total

@@ -15,11 +15,15 @@ A session binds rules and master data once and owns all shared state:
   working relation — the LHS-keyed groupings that back both the
   violation index and the entropy indexes of every phase;
 * the merged :class:`~repro.core.fixes.FixLog` and the base (dirty)
-  relation the repair is defined against.
+  relation the repair is defined against, plus — from the first
+  ``apply`` on — the base relation's variable-CFD groupings, which the
+  delta closure reads and the base's observers keep coherent.
 
-``clean(relation)`` runs the classic three-phase pipeline and keeps the
-state alive.  ``apply(changeset)`` then re-cleans under a micro-batch of
-edits, choosing between two exact strategies:
+``clean(relation)`` clones the input into the base and runs
+``reclean()``: the classic three-phase pipeline over a fresh working
+clone of the base, keeping the state alive.  ``apply(changeset)`` then
+re-cleans under a micro-batch of edits, choosing between two exact
+strategies:
 
 * **Scoped replay** — when the changeset's *perturbed-cell closure* is
   provably local: every touched cell is a pure rule target (never a
@@ -35,9 +39,11 @@ edits, choosing between two exact strategies:
   fallback.
 * **Warm full replay** — for everything else (premise edits, inserts,
   deltas whose groups embed premise fixes): the edited base is
-  re-cleaned from scratch *inside the session*, which still skips the
-  dominant costs of a cold run — the master-side blocking indexes and
-  the MD match cache persist, so only the data-side phases re-run.
+  re-cleaned from scratch *inside the session* (``reclean()``), which
+  still skips the dominant costs of a cold run — the master-side
+  blocking indexes and the MD match cache persist, and so do the base
+  relation and its group stores, so only the working relation is
+  re-cloned and only the data-side phases re-run.
 
 Both strategies leave the relation in exactly the state a full
 pipeline run over the edited base produces — property-tested in
@@ -55,7 +61,7 @@ from repro.analysis.consistency import assert_consistent, relation_is_clean
 from repro.constraints.cfd import CFD
 from repro.constraints.md import MD, NegativeMD, embed_negative
 from repro.constraints.rules import derive_rules
-from repro.core.cost import cell_cost
+from repro.core.cost import cell_changed, cell_cost
 from repro.core.crepair import CRepairResult, crepair
 from repro.core.erepair import ERepairResult, erepair
 from repro.core.fixes import FixLog
@@ -271,6 +277,8 @@ class CleaningSession:
         #: Variable-CFD groupings of the *base* relation: scratch-run group
         #: composition starts from base keys, so the delta closure must see
         #: them (a tuple repaired out of a group still starts inside it).
+        #: Built by the first apply() after a clean() or restore, then kept
+        #: across applies and re-cleans until the base is replaced.
         self.base_registry: Optional[GroupStoreRegistry] = None
         self.fix_log: FixLog = FixLog()
         #: attr -> [(working store, base store)] for variable-CFD specs.
@@ -302,19 +310,23 @@ class CleaningSession:
                 )
             )
 
-    def _teardown_relation_state(self) -> None:
+    def _teardown_working_state(self) -> None:
         if self.registry is not None:
             self.registry.detach()
             self.registry = None
-        if self.base_registry is not None:
-            self.base_registry.detach()
-            self.base_registry = None
         self._var_stores_by_attr = {}
         self._var_store_pairs = []
         self._check_index = None
 
+    def _teardown_relation_state(self) -> None:
+        self._teardown_working_state()
+        if self.base_registry is not None:
+            self.base_registry.detach()
+            self.base_registry = None
+
     def close(self) -> None:
-        """Detach all observers from the working relation (idempotent)."""
+        """Detach all observers from the base and working relations
+        (idempotent)."""
         self._teardown_relation_state()
 
     # ------------------------------------------------------------------
@@ -323,11 +335,28 @@ class CleaningSession:
     def clean(self, relation: Relation) -> CleaningResult:
         """Run the configured phases on *relation* and keep the state.
 
-        The input relation is never modified; the session owns a private
-        base copy (which :meth:`apply` edits) and the working repair.
+        The input relation is never modified: the session clones it into
+        a private base (which :meth:`apply` edits), dropping everything
+        derived from the previous base, and then runs :meth:`reclean`.
         """
         self._teardown_relation_state()
         self.base = relation.clone()
+        return self.reclean()
+
+    def reclean(self) -> CleaningResult:
+        """Re-run the configured phases from the session's current base.
+
+        Rebuilds only the working side: a fresh working clone of the
+        base, its group stores and check index, the fix log and the
+        per-cell costs.  The base, its group stores (kept coherent by
+        their observers) and the master-side MD indexes are reused — the
+        result equals a from-scratch ``clean()`` of the base.  This is
+        the warm full replay of :meth:`apply`, and how a shard worker
+        re-derives its full-form log.
+        """
+        if self.base is None:
+            raise DataError("CleaningSession.reclean() requires a prior clean()")
+        self._teardown_working_state()
         self.working = self.base.clone()
         self.fix_log = FixLog()
         timings: Dict[str, float] = {}
@@ -352,31 +381,19 @@ class CleaningSession:
         )
 
     def _attach_relation_state(self, timings: Dict[str, float]) -> None:
-        """Build the derived per-relation state over ``self.base`` /
-        ``self.working``: the shared group-store registries, the
-        satisfaction-check index, trace-time group-key tracking and the
-        master-side MD indexes.  All of it is a pure function of the two
-        relations and the bound rules, which is why a snapshot restore
+        """Build the derived state over ``self.working``: the shared
+        group-store registry, the satisfaction-check index, trace-time
+        group-key tracking and the master-side MD indexes — and pair the
+        working variable-CFD stores with the base-side ones when those
+        exist.  All of it is a pure function of the relations and the
+        bound rules, which is why a snapshot restore
         (:mod:`repro.pipeline.snapshot`) rebuilds it here instead of
         persisting it."""
         if self.config.use_violation_index:
             started = time.perf_counter()
             self.registry = GroupStoreRegistry(self.working)
             self.registry.ensure_rules(self.rules)
-            self.base_registry = GroupStoreRegistry(self.base)
-            variable_rules = [
-                rule
-                for rule in self.rules
-                if getattr(rule, "cfd", None) is not None and rule.cfd.is_variable
-            ]
-            self.base_registry.ensure_rules(variable_rules)
-            for store in self.registry.variable_cfd_stores():
-                base_store = self.base_registry.cfd_store(store.cfd)
-                self._var_store_pairs.append((store, base_store))
-                for attr in store.scope_attrs():
-                    self._var_stores_by_attr.setdefault(attr, []).append(
-                        (store, base_store)
-                    )
+            self._pair_var_stores()
             if self.cfds:
                 # A maintained index for satisfaction checks: reads the
                 # live shared stores, so D ⊨ Σ verification never rescans.
@@ -392,6 +409,37 @@ class CleaningSession:
 
         self._ensure_md_indexes()
 
+    def _attach_base_registry(self) -> None:
+        """Build the base relation's variable-CFD group stores and pair
+        them with the working ones.  Runs at the start of the first
+        apply() after a clean() or restore, before the changeset edits
+        the base; from then on the registry's observers keep it coherent
+        with every base edit, and re-cleans keep it (they never replace
+        the base)."""
+        self.base_registry = GroupStoreRegistry(self.base)
+        self.base_registry.ensure_rules(
+            rule
+            for rule in self.rules
+            if getattr(rule, "cfd", None) is not None and rule.cfd.is_variable
+        )
+        self._pair_var_stores()
+
+    def _pair_var_stores(self) -> None:
+        """Pair each working variable-CFD store with its base-side twin
+        (the delta closure walks both); no pairs until the base side
+        exists."""
+        self._var_store_pairs = []
+        self._var_stores_by_attr = {}
+        if self.base_registry is None:
+            return
+        for store in self.registry.variable_cfd_stores():
+            base_store = self.base_registry.cfd_store(store.cfd)
+            self._var_store_pairs.append((store, base_store))
+            for attr in store.scope_attrs():
+                self._var_stores_by_attr.setdefault(attr, []).append(
+                    (store, base_store)
+                )
+
     def _adopt_restored_state(
         self,
         base: Relation,
@@ -406,10 +454,11 @@ class CleaningSession:
         The persisted pieces — relations, fix log, per-cell costs, the
         ever-materialized group keys and the last satisfaction verdict —
         are adopted as-is (insertion orders included; float sums replay
-        bit-identically).  Group stores, the check index and the MD
-        blocking indexes are rebuilt from the adopted relations via
-        :meth:`_attach_relation_state`; the match cache is re-warmed by
-        the caller (it needs the decoded entries)."""
+        bit-identically).  The working group stores, the check index and
+        the MD blocking indexes are rebuilt from the adopted relations via
+        :meth:`_attach_relation_state`, the base-side group stores by the
+        next apply(); the match cache is re-warmed by the caller (it needs
+        the decoded entries)."""
         self._teardown_relation_state()
         self.base = base
         self.working = working
@@ -462,7 +511,7 @@ class CleaningSession:
         for t in self.base:
             r = self.working.by_tid(t.tid)
             for attr in names:
-                if t[attr] != r[attr]:
+                if cell_changed(t[attr], r[attr]):
                     costs[(t.tid, attr)] = cell_cost(t[attr], r[attr], t.conf(attr))
         self._cell_costs = costs
 
@@ -609,6 +658,10 @@ class CleaningSession:
         self.last_perturbed = set()
 
         timings: Dict[str, float] = {}
+        if self.registry is not None and self.base_registry is None:
+            started = time.perf_counter()
+            self._attach_base_registry()
+            timings["setup"] = time.perf_counter() - started
         started = time.perf_counter()
 
         if (
@@ -698,7 +751,7 @@ class CleaningSession:
             tid, attr = cell
             base_t = self.base.by_tid(tid)
             value = self.working.by_tid(tid)[attr]
-            if base_t[attr] != value:
+            if cell_changed(base_t[attr], value):
                 self._cell_costs[cell] = cell_cost(
                     base_t[attr], value, base_t.conf(attr)
                 )
@@ -761,10 +814,10 @@ class CleaningSession:
 
         Equivalent to a from-scratch ``clean()`` by construction, but the
         master-side blocking indexes and match cache stay warm — the
-        dominant cost of a cold run.
+        dominant cost of a cold run — and the base and its group stores
+        are kept (:meth:`reclean`).
         """
-        assert self.base is not None
-        result = self.clean(self.base)
+        result = self.reclean()
         merged = dict(timings)
         for key, value in result.timings.items():
             merged[key] = merged.get(key, 0.0) + value

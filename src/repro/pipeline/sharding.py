@@ -484,7 +484,7 @@ class _WorkerState:
         the coordinator's merged working already equals this re-clean's
         result, so only the log/trace/cost metadata needs to travel."""
         session = self.sessions[shard_id]
-        result = session.clean(session.base)
+        result = session.reclean()
         outcome = self._clean_outcome(
             shard_id, session, result.clean, result.timings
         )

@@ -28,8 +28,11 @@ Layout of one :class:`ColumnStore` (one per columnar relation)::
 
 Rows are append-only; ``remove()`` tombstones (no compaction), which is
 what keeps the delete-observer contract — values stay readable after
-removal — and the tid→row map stable.  ``clone()``/``restrict(copy=True)``
-rebuild compactly by copying refs, never re-interning values.
+removal — and the tid→row map stable.  ``clone()``,
+``restrict(copy=True)`` and compaction all go through one bulk copy,
+:meth:`ColumnStore.gather`: whole-column ``array``/bitmap copies when
+the store is dense, one C-level row pick per column otherwise — refs
+are copied, never re-interned, and the result is always dense.
 
 :class:`ColumnTuple` is a thin row-view subclassing
 :class:`~repro.relational.tuples.CTuple`, so the entire existing API —
@@ -69,7 +72,8 @@ from __future__ import annotations
 import os
 from array import array
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # numpy accelerates the repair kernels; every caller falls back to
     # pure python when it is absent, so the import is best-effort.
@@ -440,6 +444,27 @@ class Bitmap:
     def copy(self) -> "Bitmap":
         return Bitmap(bytearray(self.bits), self.n)
 
+    def gather(self, rows: Sequence[int]) -> "Bitmap":
+        """A fresh bitmap holding the bits at *rows*, in that order
+        (all-clear bitmaps — most null flags — skip the per-row pass)."""
+        out = Bitmap(bytearray((len(rows) + 7) // 8), len(rows))
+        bits = self.bits
+        if any(bits):
+            dst = out.bits
+            for new, row in enumerate(rows):
+                if (bits[row >> 3] >> (row & 7)) & 1:
+                    dst[new >> 3] |= 1 << (new & 7)
+        return out
+
+
+def _row_picker(rows: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+    """``pick(seq)`` returns ``[seq[r] for r in rows]`` at C speed
+    (``itemgetter`` returns a bare item for a single index, so short row
+    lists take the comprehension)."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda seq: [seq[r] for r in rows]
+
 
 # ----------------------------------------------------------------------
 # The per-relation store
@@ -532,6 +557,42 @@ class ColumnStore:
             self.dead.set(row, True)
             self.n_dead += 1
 
+    # -- bulk copy -----------------------------------------------------
+    def gather(
+        self, tids: Sequence[int], rows: Optional[Sequence[int]] = None
+    ) -> "ColumnStore":
+        """A dense, private copy holding *tids* at rows ``0..n-1``.
+
+        Row ``i`` of the copy is this store's row ``rows[i]``.  ``rows is
+        None`` means this store is already dense and aligned with *tids*
+        (the contiguous case of ``Relation._live_rows``), so each ref
+        column is one ``array`` copy and each null bitmap one byte copy;
+        otherwise every column takes one C-level pick of *rows*.  Refs
+        are copied, never re-interned: the copy shares this store's value
+        table, so every cell holds the identical value object.  The copy
+        is never shared and carries no tombstones; retired tids are
+        dropped.
+        """
+        dense = ColumnStore(self.schema, self.table)
+        n = len(tids)
+        if rows is None:
+            dense.values = [col.copy() for col in self.values]
+            dense.confs = [col.copy() for col in self.confs]
+            dense.nulls = [bitmap.copy() for bitmap in self.nulls]
+        else:
+            pick = _row_picker(rows)
+            dense.values = [
+                IntColumn(array(col.typecode, pick(col.data))) for col in self.values
+            ]
+            dense.confs = [
+                IntColumn(array(col.typecode, pick(col.data))) for col in self.confs
+            ]
+            dense.nulls = [bitmap.gather(rows) for bitmap in self.nulls]
+        dense.dead = Bitmap(bytearray((n + 7) // 8), n)
+        dense.row_tids = list(tids)
+        dense.row_of = dict(zip(tids, range(n)))
+        return dense
+
     # -- compaction ----------------------------------------------------
     def should_compact(self) -> bool:
         """Whether a delete-heavy store is worth compacting: not shared,
@@ -544,47 +605,28 @@ class ColumnStore:
             and (n - self.n_dead) < n * COMPACT_LIVE_RATIO
         )
 
-    def compact(self) -> Dict[int, int]:
-        """Drop tombstoned rows and rebuild the columns densely.
+    def compact(self, tids: Sequence[int], rows: Optional[Sequence[int]]) -> None:
+        """Rebuild the columns densely in place, keeping only the owner's
+        resident rows: row ``i`` becomes *tids*\\ ``[i]``'s row
+        ``rows[i]`` (the :meth:`gather` contract).
 
-        Keeps exactly the rows that are both live (``tid >= 0``) and
-        *current* (``row_of[tid] == row`` — a re-install of the same tid
-        leaves an earlier live-looking duplicate row behind; compaction
-        is where those finally get reclaimed).  Tids are stable: every
-        surviving tid maps to the same value/conf cells afterwards, only
-        its physical row index changes.  Returns the old-row → new-row
-        remap so the owning relation can re-point resident row-views.
-        Retired tids lose their ``row_of`` entry — their cells are gone.
+        Tombstoned rows and the earlier duplicate rows a re-install of
+        the same tid leaves behind are reclaimed here.  Tids are stable:
+        every surviving tid maps to the same value/conf cells afterwards,
+        only its physical row index changes — to its position in *tids*,
+        so the owner re-points its row-views in iteration order.  Retired
+        tids lose their ``row_of`` entry — their cells are gone.
         """
         if self.shared:
             raise ValueError("cannot compact a shared column store")
-        keep = [
-            row
-            for row, tid in enumerate(self.row_tids)
-            if tid >= 0 and self.row_of.get(tid) == row
-        ]
-        remap = {row: new for new, row in enumerate(keep)}
-        for cols in (self.values, self.confs):
-            for i, col in enumerate(cols):
-                data = col.data
-                cols[i] = IntColumn(
-                    array(data.typecode, (data[row] for row in keep))
-                )
-        new_nulls = []
-        for bitmap in self.nulls:
-            fresh = Bitmap()
-            for row in keep:
-                fresh.append(bitmap.get(row))
-            new_nulls.append(fresh)
-        self.nulls = new_nulls
-        dead = Bitmap()
-        for _ in keep:
-            dead.append(False)
-        self.dead = dead
-        self.row_tids = [self.row_tids[row] for row in keep]
-        self.row_of = {tid: row for row, tid in enumerate(self.row_tids)}
+        dense = self.gather(tids, rows)
+        self.values = dense.values
+        self.confs = dense.confs
+        self.nulls = dense.nulls
+        self.dead = dense.dead
+        self.row_tids = dense.row_tids
+        self.row_of = dense.row_of
         self.n_dead = 0
-        return remap
 
     # -- cells ---------------------------------------------------------
     def value_at(self, row: int, index: int) -> Any:

@@ -365,10 +365,12 @@ class Relation:
         return t
 
     def _compact_columns(self) -> None:
-        """Compact the backing store and re-point resident row-views."""
-        remap = self._columns.compact()
-        for t in self._tuples.values():
-            t._row = remap[t._row]
+        """Compact the backing store and re-point resident row-views:
+        rows follow iteration order afterwards, which is what the
+        contiguous case of :meth:`_live_rows` relies on."""
+        self._columns.compact(*self._live_rows())
+        for row, t in enumerate(self._tuples.values()):
+            t._row = row
 
     def compact(self, force: bool = False) -> bool:
         """Reclaim tombstoned rows in the backing columns.
@@ -754,25 +756,29 @@ class Relation:
         """A deep copy sharing the schema but owning fresh tuples.
 
         Tids are preserved so fixes can be traced back to original tuples.
+        A columnar clone is dense: tombstones and stale duplicate rows are
+        left behind (:meth:`~repro.relational.columns.ColumnStore.gather`).
         """
-        columnar = self._columns is not None
-        twin = Relation(self.schema, columnar=columnar)
-        if columnar:
-            # Compact rebuild: copy refs row by row (values are shared
-            # through the process-wide table, never re-interned) and hand
-            # each tid a fresh row-view.
-            source = self._columns
-            store = twin._columns
-            make = ColumnTuple.make
-            for tid, t in self._tuples.items():
-                row = store.adopt_row(tid, source, t._row)
-                twin._tuples[tid] = make(store, row, tid)
+        twin = Relation(self.schema, columnar=False)
+        if self._columns is not None:
+            # Dense rebuild: one column gather (refs are copied, never
+            # re-interned) and a fresh row-view per tid.
+            twin._adopt_columns(self._columns.gather(*self._live_rows()))
         else:
             for t in self:
                 twin._tuples[t.tid] = t.clone()  # keep identical tids
         twin._next_tid = self._next_tid
         twin._retired = set(self._retired)
         return twin
+
+    def _adopt_columns(self, store: ColumnStore) -> None:
+        """Back this (empty) relation by the dense private *store*, one
+        row-view per store row, in row order."""
+        self._columns = store
+        make = ColumnTuple.make
+        self._tuples = {
+            tid: make(store, row, tid) for row, tid in enumerate(store.row_tids)
+        }
 
     def restrict(self, tids: Iterable[int], copy: bool = True) -> "Relation":
         """A clone containing only the tuples named by *tids*.
@@ -805,13 +811,9 @@ class Relation:
                 if tid in wanted:
                     twin._tuples[tid] = t.clone() if copy else t
         elif copy:
-            source = self._columns
-            store = twin._columns = ColumnStore(self.schema, source.table)
-            make = ColumnTuple.make
-            for tid, t in self._tuples.items():
-                if tid in wanted:
-                    row = store.adopt_row(tid, source, t._row)
-                    twin._tuples[tid] = make(store, row, tid)
+            kept = [tid for tid in self._tuples if tid in wanted]
+            rows = [self._tuples[tid]._row for tid in kept]
+            twin._adopt_columns(self._columns.gather(kept, rows))
         else:
             twin._columns = self._columns  # shared columns, shared views
             # Mark the store shared: from now on neither owner may

@@ -5,6 +5,7 @@ import pytest
 from repro.core import DEFAULT_CONFIDENCE, cell_cost, repair_cost, value_distance
 from repro.exceptions import DataError
 from repro.relational import NULL, Relation, Schema
+from repro.relational.columns import using_backend
 
 
 class TestValueDistance:
@@ -55,6 +56,13 @@ class TestRepairCost:
     def test_identity_repair_costs_nothing(self, schema):
         r = Relation.from_dicts(schema, [{"A": "x", "B": "y"}])
         assert repair_cost(r.clone(), r) == 0.0
+        # An untouched NaN cell is unequal to itself, yet unchanged.
+        for columnar in (True, False):
+            with using_backend(columnar):
+                r = Relation.from_dicts(
+                    schema, [{"A": float("nan"), "B": "y"}], [{"A": 0.8, "B": 0.5}]
+                )
+            assert repair_cost(r.clone(), r) == 0.0
 
     def test_sums_weighted_distances(self, schema):
         original = Relation.from_dicts(

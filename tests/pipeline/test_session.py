@@ -1,12 +1,16 @@
 """CleaningSession: persistent state, delta-driven re-cleaning, wrappers."""
 
+import random
+
 import pytest
 
 from repro.constraints import CFD, MD
 from repro.core import UniClean, UniCleanConfig
+from repro.datasets import generate_partitioned, part_rules
 from repro.exceptions import DataError
 from repro.pipeline import Changeset, CleaningSession
 from repro.relational import Relation, Schema
+from repro.relational.columns import using_backend
 
 SCHEMA = Schema("R", ["K", "A", "B"])
 MASTER_SCHEMA = Schema("Rm", ["K", "B"])
@@ -221,6 +225,109 @@ class TestSharedState:
         assert working._observers == []
         assert working._insert_observers == []
         assert working._delete_observers == []
+
+
+class TestBaseSideReuse:
+    """The base and its variable-CFD group stores outlive full replays:
+    built by the first apply, kept coherent by their observers, dropped
+    only when clean() or a restore replaces the base."""
+
+    def test_base_registry_built_on_first_apply(self, session):
+        session.clean(build_relation(DIRTY))
+        assert session.base_registry is None
+        session.apply(Changeset().edit(0, "B", "b9"))
+        assert session.base_registry is not None
+        session.base_registry.check_consistency()
+
+    def test_clean_replaces_base_and_drops_its_stores(self, session):
+        session.clean(build_relation(DIRTY))
+        session.apply(Changeset().edit(0, "B", "b9"))
+        base = session.base
+        session.clean(build_relation(DIRTY))
+        assert session.base is not base and session.base_registry is None
+        assert base._observers == [] and base._delete_observers == []
+
+    def test_reclean_requires_a_base(self, session):
+        with pytest.raises(DataError):
+            session.reclean()
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_seeded_op_mix_keeps_base_and_matches_scratch(self, columnar):
+        """Catalog edits, score edits, deletes, inserts and premise edits,
+        so both strategies run: after every apply the session still owns
+        the same base, its stores match a fresh build, and state, final
+        fix marks and per-cell costs equal a from-scratch clean."""
+        with using_backend(columnar):
+            ds = generate_partitioned(size=96, n_blocks=4, seed=5)
+        cfds, mds = part_rules(5)
+        config = UniCleanConfig(eta=1.0)
+        session = CleaningSession(
+            cfds=cfds, mds=mds, master=ds.master, config=config
+        )
+        session.clean(ds.dirty)
+        base = session.base
+        assert (base.column_store is not None) == columnar
+        rng = random.Random(11)
+        grps = sorted({t["grp"] for t in base})
+        modes = set()
+        for kind in ["cat", "score", "delete", "cat", "insert", "premise"] * 3:
+            live = list(base.tids())
+            tid = rng.choice(live)
+            changeset = Changeset()
+            if kind == "cat":
+                changeset.edit(tid, "cat", base.by_tid(rng.choice(live))["cat"])
+            elif kind == "score":
+                changeset.edit(tid, "score", str(rng.randrange(5, 100)))
+            elif kind == "delete":
+                changeset.delete(tid)
+            elif kind == "insert":
+                changeset.insert(base.by_tid(tid).as_dict())
+            else:
+                changeset.edit(tid, "grp", rng.choice(grps))
+            out = session.apply(changeset)
+            modes.add(out.full_reclean)
+            assert session.base is base
+            session.base_registry.check_consistency()
+            scratch = CleaningSession(
+                cfds=cfds, mds=mds, master=ds.master, config=config
+            )
+            reference = scratch.clean(base)
+            assert state(out.repaired) == state(reference.repaired)
+            assert out.clean == reference.clean
+            assert {
+                cell: (fix.kind, fix.rule_name)
+                for cell, fix in out.fix_log._latest.items()
+            } == {
+                cell: (fix.kind, fix.rule_name)
+                for cell, fix in reference.fix_log._latest.items()
+            }
+            assert session._cell_costs == scratch._cell_costs
+            # Scoped applies re-order the cost map, so the float sums may
+            # differ in the last bits; the per-cell map above is exact.
+            assert out.cost == pytest.approx(reference.cost, abs=1e-9)
+        assert modes == {True, False}  # both strategies ran
+
+
+class TestNaNCost:
+    """An untouched NaN cell is unequal to itself, yet costs nothing."""
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_untouched_nan_is_not_charged(self, columnar):
+        schema = Schema("N", ["a", "b", "x"])
+        nan = float("nan")
+        with using_backend(columnar):
+            relation = Relation(schema)
+        relation.add_row({"a": "k", "b": "1", "x": nan}, {"a": 0.9, "b": 0.2, "x": 0.8})
+        relation.add_row({"a": "k", "b": "2", "x": 1.5})
+        session = CleaningSession(
+            cfds=[CFD(schema, ["a"], ["b"])], config=UniCleanConfig(eta=1.0)
+        )
+        assert session.clean(relation).cost == pytest.approx(0.2)
+        # A scoped apply re-derives the NaN cell's cost incrementally.
+        out = session.apply(Changeset().edit(0, "x", nan))
+        assert not out.full_reclean
+        assert out.cost == pytest.approx(0.2)
+        assert (0, "x") not in session._cell_costs
 
 
 class TestUniCleanWrapper:

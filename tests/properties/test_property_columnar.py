@@ -1,7 +1,7 @@
 """Property tests: the columnar backend + vectorized check engine is
 byte-identical to the dict backend + per-tuple reference engine.
 
-Three families:
+Four families:
 
 1. **Engine equivalence** — full cleans of the HOSP and PART testbeds
    under every backend×engine configuration must produce identical fix
@@ -16,6 +16,10 @@ Three families:
 3. **Zero-materialization regression** — the vectorized bulk builds and
    the blocking-scan check loop never materialize a per-tuple ``_values``
    / ``_conf`` dict (the counter in :mod:`repro.relational.columns`).
+4. **Column gather ≡ row-by-row copy** — ``clone()``,
+   ``restrict(copy=True)`` and ``compact(force=True)`` copy exactly what
+   an ``adopt_row`` loop over the resident tuples copies, into a dense,
+   independent store, across adversarial value domains.
 """
 
 import pytest
@@ -31,7 +35,7 @@ from repro.indexing.violation_index import ViolationIndex
 from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
 from repro.relational import columns
-from repro.relational.columns import using_backend, using_engine
+from repro.relational.columns import ColumnStore, using_backend, using_engine
 
 #: backend (columnar?) × check engine; the last entry is the seed-era
 #: configuration every other one must reproduce byte for byte.
@@ -284,3 +288,172 @@ def test_blocking_scan_hot_loop_materializes_no_dicts():
         assert columns.materializations() == before, (
             "the vectorized hot loop materialized per-tuple dicts"
         )
+
+
+# ----------------------------------------------------------------------
+# 4. The column gather against a row-by-row copy
+# ----------------------------------------------------------------------
+NAN = float("nan")
+UNHASHABLE = ["un", "hashable"]
+# Intern 256 fillers first: WIDE's ref cannot fit one byte, so any column
+# holding it must widen past the 8-bit refs.
+for _i in range(256):
+    columns.GLOBAL_TABLE.ref(f"gather-filler-{_i}")
+WIDE = "gather-wide"
+columns.GLOBAL_TABLE.ref(WIDE)
+
+domain = st.sampled_from(
+    ["a1", "b2", NAN, -0.0, 0, 0.0, False, "ünïcødé ✓", UNHASHABLE, NULL, WIDE]
+)
+gather_rows = st.lists(st.tuples(keys, domain, domain), min_size=0, max_size=8)
+gather_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), keys, domain, domain),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=99)),
+        st.tuples(
+            st.just("set"),
+            st.integers(min_value=0, max_value=99),
+            st.sampled_from(["K", "A", "B"]),
+            domain,
+        ),
+        st.tuples(
+            st.just("conf"),
+            st.integers(min_value=0, max_value=99),
+            st.sampled_from(["K", "A", "B"]),
+            st.sampled_from([None, 0.0, 0.5, 1.0]),
+        ),
+        st.tuples(
+            st.just("install"),
+            st.integers(min_value=0, max_value=99),
+            st.sampled_from(["K", "A", "B"]),
+            domain,
+        ),
+        st.tuples(st.just("view"), st.integers(min_value=0, max_value=255)),
+    ),
+    min_size=0,
+    max_size=16,
+)
+
+
+def _mutate(relation: Relation, compact, keep_alive: list) -> Relation:
+    """Apply *compact* ops; a ``view`` op continues on a zero-copy
+    restriction (the parent is kept alive in *keep_alive*)."""
+    for op in compact:
+        live = list(relation.tids())
+        if op[0] == "add":
+            _tag, k, a, b = op
+            relation.add_row({"K": k, "A": a, "B": b}, {"A": 0.5})
+        elif op[0] == "view":
+            keep_alive.append(relation)
+            relation = relation.restrict(
+                [tid for i, tid in enumerate(live) if op[1] >> (i % 8) & 1],
+                copy=False,
+            )
+        elif not live:
+            continue
+        elif op[0] == "remove":
+            relation.remove(live[op[1] % len(live)])
+        elif op[0] == "set":
+            _tag, raw, attr, value = op
+            relation.set_value(relation.by_tid(live[raw % len(live)]), attr, value)
+        elif op[0] == "conf":
+            _tag, raw, attr, conf = op
+            relation.by_tid(live[raw % len(live)]).set_conf(attr, conf)
+        else:  # install: a fresh row for a live tid, the old one left behind
+            _tag, raw, attr, value = op
+            twin = relation.by_tid(live[raw % len(live)]).clone()
+            twin[attr] = value
+            relation._install(twin)
+    return relation
+
+
+def _row_by_row(relation: Relation, tids) -> ColumnStore:
+    """The oracle: a per-row copy, one ``adopt_row`` per resident tid."""
+    source = relation.column_store
+    store = ColumnStore(relation.schema, source.table)
+    for tid in tids:
+        store.adopt_row(tid, source, relation.by_tid(tid)._row)
+    return store
+
+
+def _cells(relation: Relation):
+    names = relation.schema.names
+    return {
+        t.tid: ([t[a] for a in names], [t.conf(a) for a in names])
+        for t in relation
+    }
+
+
+def _assert_gathered(copy: Relation, oracle: ColumnStore, source_cells) -> None:
+    """*copy* holds exactly the oracle's rows, densely, by identity."""
+    store = copy.column_store
+    tids = list(copy.tids())
+    assert tids == oracle.row_tids and store.row_tids == tids
+    assert store.row_of == {tid: row for row, tid in enumerate(tids)}
+    assert [t._row for t in copy] == list(range(len(tids)))
+    assert store.n_dead == 0 and not any(store.dead.bits)
+    assert len(store.dead) == len(tids)
+    assert copy._live_rows()[1] is None  # the contiguous fast path
+    assert not store.shared
+    for i in range(len(store.values)):
+        assert list(store.values[i]) == list(oracle.values[i])
+        assert list(store.confs[i]) == list(oracle.confs[i])
+        assert [store.nulls[i].get(r) for r in range(len(tids))] == [
+            oracle.nulls[i].get(r) for r in range(len(tids))
+        ]
+    for tid, (values, confs) in _cells(copy).items():
+        want_values, want_confs = source_cells[tid]
+        assert all(v is w for v, w in zip(values, want_values))
+        assert all(c is w for c, w in zip(confs, want_confs))
+
+
+def _assert_independent(copy: Relation, source: Relation) -> None:
+    """An edit on either side never shows on the other."""
+    if not len(copy):
+        return
+    tid = copy.tids()[0]
+    marker = object()
+    before = source.by_tid(tid)["A"]
+    copy.set_value(copy.by_tid(tid), "A", marker)
+    assert source.by_tid(tid)["A"] is before
+    other = object()
+    source.set_value(source.by_tid(tid), "A", other)
+    assert copy.by_tid(tid)["A"] is marker
+    rows = len(source.column_store.row_tids)
+    copy.add_row({"K": "k1"})
+    assert len(source.column_store.row_tids) == rows
+
+
+class TestColumnGather:
+    @given(gather_rows, gather_ops, st.integers(min_value=0, max_value=255))
+    @settings(max_examples=80, deadline=None)
+    def test_clone_restrict_compact_match_row_by_row(self, data, compact, mask):
+        with using_backend(True):
+            relation = Relation(SCHEMA)
+        for k, a, b in data:
+            relation.add_row({"K": k, "A": a, "B": b}, {"K": 0.5})
+        keep_alive: list = []
+        relation = _mutate(relation, compact, keep_alive)
+        tids = list(relation.tids())
+        cells = _cells(relation)
+
+        clone = relation.clone()
+        _assert_gathered(clone, _row_by_row(relation, tids), cells)
+        assert clone._next_tid == relation._next_tid
+        assert clone._retired == relation._retired
+
+        kept = [tid for i, tid in enumerate(tids) if mask >> (i % 8) & 1]
+        restricted = relation.restrict(kept, copy=True)
+        _assert_gathered(restricted, _row_by_row(relation, kept), cells)
+        assert restricted._next_tid == relation._next_tid
+        assert restricted._retired == relation._retired
+
+        oracle = _row_by_row(relation, tids)
+        shared = relation.column_store.shared
+        assert relation.compact(force=True) == (not shared)
+        if not shared:
+            _assert_gathered(relation, oracle, cells)
+        assert _cells(relation).keys() == cells.keys()
+
+        _assert_independent(clone, relation)
+        _assert_independent(restricted, relation)

@@ -7,6 +7,7 @@ relation would produce, with the same satisfaction verdict — across all
 three phases and for partial pipelines.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,7 @@ def check_apply_equivalence(data, compact_batches, config, with_mds: bool):
     mds = MDS if with_mds else ()
     session = CleaningSession(cfds=CFDS, mds=mds, master=master, config=config)
     session.clean(build_relation(data))
+    base = session.base
     for compact in compact_batches:
         changeset = build_changeset(session.base, compact)
         out = session.apply(changeset)
@@ -117,8 +119,13 @@ def check_apply_equivalence(data, compact_batches, config, with_mds: bool):
             assert out is None
             assert state(session.working) == state(reference.repaired)
             continue
+        # Neither strategy replaces the base, and its group stores (built
+        # by the first apply) stay coherent with every edit.
+        assert session.base is base
+        session.base_registry.check_consistency()
         assert state(out.repaired) == state(reference.repaired)
         assert out.clean == reference.clean
+        assert out.cost == pytest.approx(reference.cost, abs=1e-9)
         # The merged log reproduces the same final cell marks.
         assert {
             cell: fix.kind for cell, fix in out.fix_log._latest.items()
