@@ -71,14 +71,14 @@ Two workloads, both written to ``BENCH_repair.json``:
    wire-payload byte delta between the columnar ref-bridge encode and
    the forced per-tuple encode of the same relation and asserts the two
    blobs are byte-identical (delta 0).
-7. **Repair-engine** (ISSUE 8 columnar repair kernels): one full traced
-   ``CleaningSession.clean()`` of the PART testbed on the columnar
-   backend under ``REPRO_REPAIR_ENGINE=reference`` and
-   ``=vectorized``.  Rows record the per-phase seconds (``setup`` /
+7. **Repair-engine** (columnar repair kernels vs the dict oracle): one
+   full traced ``CleaningSession.clean()`` of the PART testbed on the
+   dict backend (per-tuple reference loops) and on the columnar backend
+   (ref-column kernels).  Rows record the per-phase seconds (``setup`` /
    ``crepair`` / ``erepair`` / ``hrepair``) and the tracemalloc peak of
    each run; the summary records per-phase and total speedups.  The
    script asserts that the ordered fix log, repaired state, cost,
-   verdict and phase traces are **byte-identical** between the engines;
+   verdict and phase traces are **byte-identical** between the backends;
    timings and memory are informational only.
 8. **Match-engine** (ISSUE 9 set-based similarity join): a scaled
    DBLP-style master (``--match-size`` rows, default 500K) probed with
@@ -837,23 +837,22 @@ def run_columnar_report(
         tracemalloc.stop()
         return relation, build_s, peak
 
-    def scan(relation, engine: str):
+    def scan(relation):
         gc.collect()
         gc.disable()
         try:
-            with _relcolumns.using_engine(engine):
-                started = time.perf_counter()
-                registry = GroupStoreRegistry(relation, attach=False)
-                registry.ensure_rules(rules)
-                index = ViolationIndex(
-                    relation, derive_rules(cfds), attach=False, registry=registry
-                )
-                index_s = time.perf_counter() - started
-                started = time.perf_counter()
-                violations = relation_violations(
-                    relation, cfds, violation_index=index
-                )
-                check_s = time.perf_counter() - started
+            started = time.perf_counter()
+            registry = GroupStoreRegistry(relation, attach=False)
+            registry.ensure_rules(rules)
+            index = ViolationIndex(
+                relation, derive_rules(cfds), attach=False, registry=registry
+            )
+            index_s = time.perf_counter() - started
+            started = time.perf_counter()
+            violations = relation_violations(
+                relation, cfds, violation_index=index
+            )
+            check_s = time.perf_counter() - started
         finally:
             gc.enable()
         fingerprint = [
@@ -864,7 +863,7 @@ def run_columnar_report(
     rows: List[Dict[str, Any]] = []
 
     relation, build_s, dict_peak = build(columnar=False)
-    reference_violations, ref_index_s, ref_check_s = scan(relation, "reference")
+    reference_violations, ref_index_s, ref_check_s = scan(relation)
     rows.append(
         {
             "backend": "dict",
@@ -880,7 +879,7 @@ def run_columnar_report(
     gc.collect()
 
     relation, build_s, columnar_peak = build(columnar=True)
-    vectorized_violations, vec_index_s, vec_check_s = scan(relation, "vectorized")
+    vectorized_violations, vec_index_s, vec_check_s = scan(relation)
     rows.append(
         {
             "backend": "columnar",
@@ -945,27 +944,27 @@ def run_repair_engine_report(
     noise_rate: float = 0.04,
     seed: int = 11,
 ) -> Dict[str, Any]:
-    """Vectorized vs reference repair engine (ISSUE 8 columnar kernels).
+    """Columnar repair kernels vs the dict-backend oracle.
 
-    One full traced ``CleaningSession.clean()`` of the PART testbed on
-    the columnar backend, once per ``REPRO_REPAIR_ENGINE`` setting.
-    Rows record the per-phase seconds straight from the session timings
-    (``setup`` / ``crepair`` / ``erepair`` / ``hrepair``), the
-    tracemalloc peak across the clean, and the fix count.  Asserted:
-    the ordered fix log (every field), repaired state, per-cell cost
-    total, clean verdict and phase scheduling traces are identical
-    between the engines — the standing byte-identity invariant.
-    Recorded, never asserted: seconds, speedups and memory.
+    One full traced ``CleaningSession.clean()`` of the PART testbed per
+    backend: dict-backed relations run the per-tuple reference loops,
+    columnar ones the ref-column kernels.  Rows record the per-phase
+    seconds straight from the session timings (``setup`` / ``crepair``
+    / ``erepair`` / ``hrepair``), the tracemalloc peak across the
+    clean, and the fix count.  Asserted: the ordered fix log (every
+    field), repaired state, per-cell cost total, clean verdict and phase
+    scheduling traces are identical between the backends — the standing
+    byte-identity invariant.  Recorded, never asserted: seconds,
+    speedups and memory.
     """
     import gc
     import tracemalloc
 
     from repro.relational import columns as _relcolumns
 
-    def run(engine: str):
+    def run(columnar: bool):
         gc.collect()
-        with _relcolumns.using_backend(True), \
-                _relcolumns.using_repair_engine(engine):
+        with _relcolumns.using_backend(columnar):
             ds = generate(
                 "partitioned", size=size, n_blocks=n_blocks,
                 noise_rate=noise_rate, seed=seed,
@@ -990,12 +989,12 @@ def run_repair_engine_report(
 
     rows: List[Dict[str, Any]] = []
     runs: Dict[str, Dict[str, Any]] = {}
-    for engine in ("reference", "vectorized"):
-        outcome = runs[engine] = run(engine)
+    for backend in ("dict", "columnar"):
+        outcome = runs[backend] = run(backend == "columnar")
         timings = outcome["timings"]
         rows.append(
             {
-                "engine": engine,
+                "backend": backend,
                 "setup_s": round(timings.get("setup", 0.0), 6),
                 "crepair_s": round(timings.get("crepair", 0.0), 6),
                 "erepair_s": round(timings.get("erepair", 0.0), 6),
@@ -1007,41 +1006,36 @@ def run_repair_engine_report(
             }
         )
 
-    reference, vectorized = runs["reference"], runs["vectorized"]
-    identical = (
-        reference["fingerprint"] == vectorized["fingerprint"]
-        and reference["state"] == vectorized["state"]
-        and reference["cost"] == vectorized["cost"]
-        and reference["clean"] == vectorized["clean"]
-        and reference["traces"] == vectorized["traces"]
+    oracle, columnar = runs["dict"], runs["columnar"]
+    identical = all(
+        oracle[key] == columnar[key]
+        for key in ("fingerprint", "state", "cost", "clean", "traces")
     )
 
     def speedup(phase: str):
-        ref = reference["timings"].get(phase, 0.0)
-        vec = vectorized["timings"].get(phase, 0.0)
-        return round(ref / vec, 2) if vec else None
+        ref = oracle["timings"].get(phase, 0.0)
+        col = columnar["timings"].get(phase, 0.0)
+        return round(ref / col, 2) if col else None
 
+    oracle_total = sum(oracle["timings"].values())
+    columnar_total = sum(columnar["timings"].values())
     summary = {
         "size": size,
         "n_blocks": n_blocks,
         "noise_rate": noise_rate,
         "seed": seed,
-        "fixes": len(reference["fingerprint"]),
-        "reference_total_s": round(sum(reference["timings"].values()), 6),
-        "vectorized_total_s": round(sum(vectorized["timings"].values()), 6),
+        "fixes": len(oracle["fingerprint"]),
+        "dict_total_s": round(oracle_total, 6),
+        "columnar_total_s": round(columnar_total, 6),
         # Per-phase speedups (recorded, never asserted):
         "crepair_speedup": speedup("crepair"),
         "erepair_speedup": speedup("erepair"),
         "hrepair_speedup": speedup("hrepair"),
-        "total_speedup": round(
-            sum(reference["timings"].values())
-            / sum(vectorized["timings"].values()),
-            2,
-        )
-        if sum(vectorized["timings"].values())
+        "total_speedup": round(oracle_total / columnar_total, 2)
+        if columnar_total
         else None,
-        "reference_peak_mem_bytes": reference["peak"],
-        "vectorized_peak_mem_bytes": vectorized["peak"],
+        "dict_peak_mem_bytes": oracle["peak"],
+        "columnar_peak_mem_bytes": columnar["peak"],
         # The structural acceptance flag (never wall-clock):
         "repair_identical": identical,
     }
@@ -1052,7 +1046,6 @@ def run_repair_engine_report(
             "n_blocks": n_blocks,
             "noise_rate": noise_rate,
             "seed": seed,
-            "backend": "columnar",
         },
         "rows": rows,
         "summary": summary,
@@ -1826,13 +1819,13 @@ def main(argv=None) -> int:
         entry = repair["summary"]
         print(
             f"  repair-engine size={entry['size']} fixes={entry['fixes']}: "
-            f"reference={entry['reference_total_s']:.2f}s "
-            f"vectorized={entry['vectorized_total_s']:.2f}s "
+            f"dict={entry['dict_total_s']:.2f}s "
+            f"columnar={entry['columnar_total_s']:.2f}s "
             f"speedup={entry['total_speedup']}x "
             f"(c x{entry['crepair_speedup']} e x{entry['erepair_speedup']} "
             f"h x{entry['hrepair_speedup']}) "
-            f"mem={entry['vectorized_peak_mem_bytes']}/"
-            f"{entry['reference_peak_mem_bytes']}B "
+            f"mem={entry['columnar_peak_mem_bytes']}/"
+            f"{entry['dict_peak_mem_bytes']}B "
             f"repair_identical={entry['repair_identical']}"
         )
         ok &= entry["repair_identical"]

@@ -5,12 +5,8 @@ package, so PEP 660 editable installs (which build a wheel) fail.  With a
 ``setup.py`` present and no ``[build-system]`` table in ``pyproject.toml``,
 ``pip install -e .`` falls back to the classic ``setup.py develop`` code
 path, which works offline.
-
-numpy is declared because the eRepair/hRepair kernels and the
-vectorized check paths import it (``repro.relational.columns`` keeps a
-pure-Python fallback for interpreters without it).
 """
 
 from setuptools import setup
 
-setup(install_requires=["numpy"])
+setup()

@@ -31,8 +31,7 @@ from repro.constraints.cfd import CFD, Violation
 from repro.constraints.md import MD
 from repro.constraints.rules import ConstantCFDRule, derive_rules
 from repro.indexing.group_store import hot_groups
-from repro.relational import columns as _columns
-from repro.relational.attribute import NULL, is_null
+from repro.relational.attribute import NULL, cell_changed, is_null
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import CTuple
@@ -109,7 +108,7 @@ def relation_violations(
                 )
             positions.append(by_key[key])
     only = set(only_tids) if only_tids is not None else None
-    if _columns.vectorized_for(relation):
+    if relation.column_store is not None:
         return _violations_vectorized(relation, rules, positions, index, strict, only)
     out: List[Violation] = []
     for rule, idx in zip(rules, positions):
@@ -133,7 +132,9 @@ def relation_violations(
             constant = rule.cfd.rhs_constant if is_constant else None
             for tid in rule_member_tids():
                 value = relation.by_tid(tid)[rhs]
-                if is_null(value) or (is_constant and value != constant):
+                if is_null(value) or (
+                    is_constant and cell_changed(value, constant)
+                ):
                     out.append(Violation(rule.cfd, (tid,), rhs))
             # Pair check among tuples agreeing on X — constant CFDs
             # included, exactly as the brute-force scan does.
@@ -142,14 +143,14 @@ def relation_violations(
                 for tid in tids:
                     value = relation.by_tid(tid)[rhs]
                     for other_value, witness in seen.items():
-                        if other_value != value:
+                        if cell_changed(other_value, value):
                             out.append(Violation(rule.cfd, (witness, tid), rhs))
                     seen.setdefault(value, tid)
         elif is_constant:
             constant = rule.cfd.rhs_constant
             for tid in rule_member_tids():
                 value = relation.by_tid(tid)[rhs]
-                if not is_null(value) and value != constant:
+                if not is_null(value) and cell_changed(value, constant):
                     out.append(Violation(rule.cfd, (tid,), rhs))
         else:
             for _key, tids in rule_groups():
@@ -159,7 +160,7 @@ def relation_violations(
                     if is_null(value):
                         continue
                     for other_value, witness in seen.items():
-                        if other_value != value:
+                        if cell_changed(other_value, value):
                             out.append(Violation(rule.cfd, (witness, tid), rhs))
                     seen.setdefault(value, tid)
     return out
@@ -186,8 +187,8 @@ def _violations_vectorized(
     with all of them.  The ``seen`` lists key canonical refs, whose
     equality (and therefore first-encounter order) is exactly the value
     equality the reference engine's value-keyed maps use, so the
-    emitted violation list is identical element for element.  Gated by
-    :func:`repro.relational.columns.check_engine`.
+    emitted violation list is identical element for element.  Columnar
+    relations always take it; dict-backed ones take the reference loop.
 
     The ``only_tids`` delta mode keeps the index-query path (its scopes
     are small; the full-scan restructuring would not pay for itself).

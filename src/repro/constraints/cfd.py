@@ -67,12 +67,15 @@ def pattern_match(value: Any, pattern_value: Any) -> bool:
     ``value ≍ pattern_value`` iff they are equal or the pattern entry is the
     wildcard.  :data:`NULL` never matches a pattern (Section 7), not even a
     wildcard — a null cell carries no evidence that the rule premise holds.
+    Equality is identity-first (:func:`~repro.relational.attribute.cell_changed`),
+    as in the columnar bulk builds' canon-ref compare: a cell holding the
+    pattern's very NaN object matches it.
     """
     if is_null(value):
         return False
     if is_wildcard(pattern_value):
         return True
-    return value == pattern_value
+    return value is pattern_value or value == pattern_value
 
 
 PatternValue = Union[Any, Wildcard]

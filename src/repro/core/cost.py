@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.exceptions import DataError
-from repro.relational.attribute import is_null
+from repro.relational.attribute import cell_changed, is_null
 from repro.relational.relation import Relation
 from repro.similarity.levenshtein import edit_distance
 
@@ -47,13 +47,6 @@ def value_distance(old: Any, new: Any) -> float:
             return 0.0
         return edit_distance(old, new) / longest
     return 1.0
-
-
-def cell_changed(old: Any, new: Any) -> bool:
-    """Whether a repair changed a cell from *old* to *new*.  Identity
-    comes first: an untouched cell holds the very same object, which
-    must count as unchanged even when it is unequal to itself (NaN)."""
-    return old is not new and old != new
 
 
 def cell_cost(old: Any, new: Any, confidence: Optional[float]) -> float:

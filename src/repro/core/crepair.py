@@ -47,8 +47,7 @@ from repro.core.trace import WorklistTrace
 from repro.indexing.blocking import MDBlockingIndex
 from repro.indexing.group_store import GroupStoreRegistry
 from repro.indexing.violation_index import ViolationIndex
-from repro.relational import columns as _columns
-from repro.relational.columns import ColumnTuple
+from repro.relational.attribute import cell_changed
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
@@ -234,21 +233,11 @@ class _CRepair:
         return entry
 
     def _apply_fix(
-        self,
-        t: CTuple,
-        attr: str,
-        value: Any,
-        rule_name: str,
-        source,
-        equal: Optional[bool] = None,
+        self, t: CTuple, attr: str, value: Any, rule_name: str, source
     ) -> None:
         """Write a deterministic fix (or confirm an equal value) and
-        propagate via ``update``.  *equal* short-circuits the
-        ``t[attr] == value`` test when the caller already resolved it at
-        the ref level (canon equality is value equality)."""
-        if equal is None:
-            equal = t[attr] == value
-        if not equal:
+        propagate via ``update``."""
+        if cell_changed(t[attr], value):
             self.fix_log.record(
                 Fix(
                     kind=FixKind.DETERMINISTIC,
@@ -341,24 +330,7 @@ class _CRepair:
         rhs = rule.rhs_attr()
         if self._asserted(t, rhs):
             return  # asserted targets are never overwritten
-        constant = rule.cfd.rhs_constant
-        equal: Optional[bool] = None
-        if isinstance(t, ColumnTuple) and _columns.repair_engine() == "vectorized":
-            # Target resolution at the ref level: the current cell equals
-            # the rule constant iff its canon ref is the constant's canon
-            # (invariant 19) — no cell materialization.  ``find_canon``
-            # probes without interning; an absent canon means no table
-            # value compares equal to the constant.
-            store = t._store
-            table = store.table
-            try:
-                want = table.find_canon(constant)
-            except TypeError:  # unhashable constant: use the == fallback
-                pass
-            else:
-                ref = store.values[store.index_of[rhs]].data[t._row]
-                equal = want is not None and table.canon[ref] == want
-        self._apply_fix(t, rhs, constant, rule.name, "pattern", equal=equal)
+        self._apply_fix(t, rhs, rule.cfd.rhs_constant, rule.name, "pattern")
 
     def md_infer(self, t: CTuple, rule_idx: int) -> None:
         rule = self.rules[rule_idx]
@@ -373,52 +345,6 @@ class _CRepair:
         if match is None:
             return
         self._apply_fix(t, rhs, match[master_attr], rule.name, "master")
-
-    def _init_asserted_vectorized(
-        self, scope: Sequence[int], relevant_attrs: Tuple[str, ...]
-    ) -> None:
-        """Initialization lines 2–6 over the confidence ref columns.
-
-        The asserted test (``cf is not None and cf ≥ η``) is resolved
-        once per *distinct* confidence ref per attribute — a typical
-        relation holds a handful of distinct confidences — and the
-        identical ``(tid, attr)`` propagation loop then runs off the
-        precomputed masks, materializing a row-view only for tuples with
-        at least one asserted relevant attribute.  Sound because nothing
-        mutates confidences before the fixpoint loop: during init,
-        ``update`` only arms worklist entries (``pending`` is empty and
-        fixes happen later), so upfront masks agree with the reference
-        path's lazy per-tuple reads, in the same propagation order.
-        """
-        relation = self.relation
-        store = relation.column_store
-        values = store.table.values
-        eta = self.eta
-        tuples = relation._tuples
-        rows = [tuples[tid]._row for tid in scope]
-        index_of = store.index_of
-        by_tid = relation.by_tid
-        asserted: Dict[int, bool] = {}
-        masks: List[List[bool]] = []
-        for attr in relevant_attrs:
-            data = store.confs[index_of[attr]].data
-            mask = []
-            for row in rows:
-                ref = data[row]
-                flag = asserted.get(ref)
-                if flag is None:
-                    conf = values[ref]
-                    flag = asserted[ref] = conf is not None and conf >= eta
-                mask.append(flag)
-            masks.append(mask)
-        for pos, tid in enumerate(scope):
-            t: Optional[CTuple] = None
-            self._root_rank = (1, tid, 0, 0)
-            for attr, mask in zip(relevant_attrs, masks):
-                if mask[pos]:
-                    if t is None:
-                        t = by_tid(tid)
-                    self.update(t, attr)
 
     # ------------------------------------------------------------------
     # Main loop — Fig. 4
@@ -446,15 +372,12 @@ class _CRepair:
                 for tid in scope:
                     self._root_rank = (0, idx, tid, 0)
                     self._push(tid, idx)
-        if _columns.repair_vectorized_for(self.relation):
-            self._init_asserted_vectorized(scope, relevant_attrs)
-        else:
-            for tid in scope:
-                t = self.relation.by_tid(tid)
-                self._root_rank = (1, tid, 0, 0)
-                for attr in relevant_attrs:
-                    if self._asserted(t, attr):
-                        self.update(t, attr)
+        for tid in scope:
+            t = self.relation.by_tid(tid)
+            self._root_rank = (1, tid, 0, 0)
+            for attr in relevant_attrs:
+                if self._asserted(t, attr):
+                    self.update(t, attr)
         # Fixpoint loop (lines 7–15).
         self._looping = True
         trace = self.trace

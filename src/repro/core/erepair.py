@@ -43,7 +43,7 @@ from repro.indexing.blocking import MDBlockingIndex
 from repro.indexing.entropy_index import EntropyIndex
 from repro.indexing.group_store import GroupStoreRegistry, sort_key
 from repro.indexing.violation_index import ViolationIndex
-from repro.relational import columns as _columns
+from repro.relational.attribute import cell_changed
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
@@ -172,17 +172,14 @@ class _ERepair:
     # Cell mutation with index maintenance and bookkeeping
     # ------------------------------------------------------------------
     def _may_change(self, t: CTuple, attr: str) -> bool:
-        return self._may_change_cell(t.tid, attr)
-
-    def _may_change_cell(self, tid: Optional[int], attr: str) -> bool:
-        cell = (tid, attr)
+        cell = (t.tid, attr)
         if cell in self.protected:
             return False
         return self.change_count.get(cell, 0) < self.delta1
 
     def _set_value(self, t: CTuple, attr: str, value: Any, rule_name: str, source) -> bool:
         """Apply one reliable fix; returns whether a change was made."""
-        if t[attr] == value:
+        if not cell_changed(t[attr], value):
             return False
         cell = (t.tid, attr)
         self.fix_log.record(
@@ -236,7 +233,6 @@ class _ERepair:
                 for group in index.conflicting_groups()
                 if group.entropy < self.delta2
             ]
-        vectorized = _columns.repair_vectorized_for(self.relation)
         for key, snapshot_entropy in candidates:
             if self.trace is not None:
                 # The AVL ordering key at snapshot time — the content rank
@@ -252,11 +248,6 @@ class _ERepair:
             if not (group.entropy < self.delta2):
                 continue
             majority_value, _count = group.majority()
-            if vectorized:
-                changed |= self._apply_majority_columnar(
-                    rule, rhs, group, majority_value
-                )
-                continue
             for tid in sorted(group.tids):
                 t = self.relation.by_tid(tid)
                 if t[rhs] == majority_value:
@@ -264,55 +255,6 @@ class _ERepair:
                 if not self._may_change(t, rhs):
                     continue
                 changed |= self._set_value(t, rhs, majority_value, rule.name, "entropy")
-        return changed
-
-    def _apply_majority_columnar(
-        self, rule: VariableCFDRule, rhs: str, group: Any, majority_value: Any
-    ) -> bool:
-        """The member scan of one low-entropy group at the ref level.
-
-        Mismatching members are found by comparing canon refs against the
-        majority value's canon (canon equality is ``==`` equality), with
-        a numpy compare for large groups; tuples materialize only at
-        mismatch positions.  Byte-identical to the per-tuple loop: the
-        snapshot of RHS refs taken here equals the reference path's live
-        reads because each fix rewrites only its own tuple's RHS cell,
-        and mismatches are visited in the same sorted-tid order with the
-        same ``_may_change`` gate.
-        """
-        relation = self.relation
-        store = relation.column_store
-        table = store.table
-        tids = sorted(group.tids)
-        data = store.values[store.index_of[rhs]].data
-        tuples = relation._tuples
-        refs = [data[tuples[tid]._row] for tid in tids]
-        try:
-            want = table.find_canon(majority_value)
-        except TypeError:  # pragma: no cover - counter keys are hashable
-            want = None
-        canon = table.canon
-        if want is None:
-            # No table-resident value compares equal: every member is a
-            # mismatch.
-            positions: Sequence[int] = range(len(tids))
-        else:
-            np = _columns.numpy_or_none()
-            if np is not None and len(refs) >= 32:
-                canons = np.fromiter(
-                    (canon[r] for r in refs), dtype=np.int64, count=len(refs)
-                )
-                positions = np.nonzero(canons != want)[0].tolist()
-            else:
-                positions = [i for i, r in enumerate(refs) if canon[r] != want]
-        changed = False
-        by_tid = relation.by_tid
-        for pos in positions:
-            tid = tids[pos]
-            if not self._may_change_cell(tid, rhs):
-                continue
-            t = by_tid(tid)
-            changed |= self._set_value(t, rhs, majority_value, rule.name, "entropy")
         return changed
 
     def _candidates(self, rule_idx: int):

@@ -38,7 +38,7 @@ classes or upgrades a target, so the measure ``(#classes descending,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.constraints.cfd import CFD
 from repro.constraints.md import MD
@@ -53,10 +53,9 @@ from repro.core.cost import RefCostCache, cell_cost
 from repro.core.fixes import Fix, FixKind, FixLog
 from repro.core.trace import RoundTrace
 from repro.indexing.blocking import MDBlockingIndex
-from repro.indexing.group_store import GroupStoreRegistry, cfd_member_tids
+from repro.indexing.group_store import GroupStoreRegistry
 from repro.indexing.violation_index import ViolationIndex
-from repro.relational import columns as _columns
-from repro.relational.attribute import NULL, is_null
+from repro.relational.attribute import NULL, cell_changed, is_null
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
@@ -245,7 +244,7 @@ class _HRepair:
         value = NULL if target[0] == "null" else target[1]
         for tid, attr in self.uf.members(root):
             t = self.relation.by_tid(tid)
-            if t[attr] == value:
+            if not cell_changed(t[attr], value):
                 continue
             if (tid, attr) in self.protected:
                 continue  # defensive; frozen classes keep their value
@@ -347,10 +346,10 @@ class _HRepair:
         rule = self.rules[rule_idx]
         assert isinstance(rule, VariableCFDRule)
         rhs = rule.rhs_attr()
-        if _columns.repair_vectorized_for(self.relation):
-            return self._resolve_variable_vectorized(rule, rule_idx, rhs)
         changed = False
         if self.vindex is not None:
+            if self.relation.column_store is not None:
+                return self._resolve_variable_vectorized(rule, rule_idx, rhs)
             by_tid = self.relation.by_tid
             for key in self.vindex.pop_dirty_keys(rule_idx):
                 members = self.vindex.members(rule_idx, key)
@@ -384,42 +383,29 @@ class _HRepair:
         over ref columns, with the hot-group prune shared with the
         vectorized check engine.
 
-        With the violation index, each popped dirty partition is pruned
-        through its :class:`~repro.indexing.group_store.GroupStats`: a
-        cold group (≤ 1 distinct RHS ``==``-class) always makes
+        Each popped dirty partition is pruned through its
+        :class:`~repro.indexing.group_store.GroupStats`: a cold group
+        (≤ 1 distinct RHS ``==``-class) always makes
         :meth:`_resolve_variable_group` return ``False`` with zero
         observable side effects — no fix, no token, no unresolved entry —
-        so skipping it before materializing any tuple is exact.  Without
-        the index, the grouping itself comes from a single columnar
-        membership scan (:func:`~repro.indexing.group_store.cfd_member_tids`)
-        in the reference path's first-encounter order.
+        so skipping it before materializing any tuple is exact.
         """
         changed = False
-        if self.vindex is not None:
-            part = self.vindex.partition(rule_idx)
-            for key in self.vindex.pop_dirty_keys(rule_idx):
-                stats = part.groups.get(key) if part is not None else None
-                if stats is None or not stats.tids:
-                    continue
-                if not stats.is_hot:
-                    continue  # cold: provably resolution-free
-                member_tids = sorted(stats.tids)
-                if self.trace is not None:
-                    # Pop order is ascending smallest member tid — the
-                    # content rank that interleaves shards' partitions.
-                    self._token = (self.rounds, rule_idx, (member_tids[0],))
-                changed |= self._resolve_variable_group_refs(
-                    rule, rhs, key, member_tids
-                )
-        else:
-            for key, member_tids in cfd_member_tids(
-                self.relation, rule.cfd
-            ).items():
-                if self.trace is not None:
-                    self._token = (self.rounds, rule_idx, (min(member_tids),))
-                changed |= self._resolve_variable_group_refs(
-                    rule, rhs, key, member_tids
-                )
+        part = self.vindex.partition(rule_idx)
+        for key in self.vindex.pop_dirty_keys(rule_idx):
+            stats = part.groups.get(key) if part is not None else None
+            if stats is None or not stats.tids:
+                continue
+            if not stats.is_hot:
+                continue  # cold: provably resolution-free
+            member_tids = sorted(stats.tids)
+            if self.trace is not None:
+                # Pop order is ascending smallest member tid — the
+                # content rank that interleaves shards' partitions.
+                self._token = (self.rounds, rule_idx, (member_tids[0],))
+            changed |= self._resolve_variable_group_refs(
+                rule, rhs, key, member_tids
+            )
         return changed
 
     def _resolve_variable_group_refs(
@@ -434,8 +420,9 @@ class _HRepair:
         (canon equality is ``==`` equality), materializing row-views only
         on the rare frozen-conflict premise-breaking path and inside
         ``_sync`` when fixes actually land.  The distinct-value map keeps
-        the *first-encountered* ref per canon class, which is exactly the
-        instance the reference path's ``set`` retains.
+        the *first-encountered* ref per canon class, in encounter order —
+        exactly the instances, and the order, of the reference path's
+        ``dict.fromkeys``.
         """
         relation = self.relation
         store = relation.column_store
@@ -527,8 +514,7 @@ class _HRepair:
     ) -> Any:
         """Ref-level :meth:`_cheapest_value` (Section 3.1 cost model).
 
-        Vote counts come from one pass over canon refs (``np.unique``
-        for large groups); each candidate's total cost accumulates over
+        Vote counts come from one pass over canon refs; each candidate's total cost accumulates over
         the members *in member order* through the per-run
         :class:`~repro.core.cost.RefCostCache`, preserving the reference
         path's float addition order bit for bit (the memo only collapses
@@ -548,21 +534,10 @@ class _HRepair:
         tuples = relation._tuples
         conf_refs = [conf_data[tuples[tid]._row] for tid in members]
         n = len(rhs_refs)
-        np = _columns.numpy_or_none()
-        canons: Sequence[int]
-        counts: Dict[int, int]
-        if np is not None and n >= 16:
-            arr = np.fromiter(
-                (canon[r] for r in rhs_refs), dtype=np.int64, count=n
-            )
-            uniq, cnts = np.unique(arr, return_counts=True)
-            counts = dict(zip(uniq.tolist(), cnts.tolist()))
-            canons = arr.tolist()
-        else:
-            canons = [canon[r] for r in rhs_refs]
-            counts = {}
-            for c in canons:
-                counts[c] = counts.get(c, 0) + 1
+        canons = [canon[r] for r in rhs_refs]
+        counts: Dict[int, int] = {}
+        for c in canons:
+            counts[c] = counts.get(c, 0) + 1
         best_value = None
         best_key = None
         for cand_canon, cand_ref in sorted(
@@ -592,7 +567,10 @@ class _HRepair:
         members = [
             t for t in group if self._target((t.tid, rhs))[0] != "null"
         ]
-        values = {t[rhs] for t in members if not is_null(t[rhs])}
+        # First-encountered instance per ``==``-class, in member order
+        # (the ref-level builder's order): a set would order unequal
+        # values with equal reprs (two NaNs) by hash.
+        values = dict.fromkeys(t[rhs] for t in members if not is_null(t[rhs]))
         has_free_nulls = any(is_null(t[rhs]) for t in members)
         if len(values) < 2 and not (values and has_free_nulls):
             return False  # consistent (nulls alone never violate)
@@ -656,7 +634,9 @@ class _HRepair:
         self._merge(cells, target, rule.name)
         return True
 
-    def _cheapest_value(self, group: Sequence[CTuple], rhs: str, values: Set[Any]) -> Any:
+    def _cheapest_value(
+        self, group: Sequence[CTuple], rhs: str, values: Iterable[Any]
+    ) -> Any:
         """The group value minimizing total repair cost (Section 3.1).
 
         Cost ties (common when confidences are zero) break towards the
@@ -671,7 +651,7 @@ class _HRepair:
         for value in sorted(values, key=repr):
             total = 0.0
             for t in group:
-                if t[rhs] != value:
+                if cell_changed(t[rhs], value):
                     total += cell_cost(t[rhs], value, t.conf(rhs))
             key = (total, -counts.get(value, 0), repr(value))
             if best_key is None or key < best_key:

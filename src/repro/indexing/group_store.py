@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.constraints.cfd import WILDCARD, is_wildcard
 from repro.exceptions import DataError
-from repro.relational import columns as _columns
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
@@ -151,80 +150,6 @@ def hot_groups(groups: Iterable[GroupStats]) -> List[GroupStats]:
     return hot
 
 
-def cfd_member_tids(relation: Relation, cfd: Any) -> Dict[Key, List[int]]:
-    """Member tids per LHS key of *cfd* — keys and members both in
-    first-encounter relation order, exactly the grouping the per-tuple
-    loop ``groups.setdefault(t.project(lhs), []).append(t.tid)`` (guarded
-    by ``lhs_matches``) builds.  Columnar relations scan the ref columns
-    with membership resolved once per distinct LHS ref combination (the
-    :meth:`CFDGroupStore._bulk_index_columnar` idiom); dict relations
-    take the per-tuple loop itself.
-    """
-    lhs = cfd.key_attrs()
-    groups: Dict[Key, List[int]] = {}
-    if not _columns.repair_vectorized_for(relation):
-        for t in relation:
-            if cfd.lhs_matches(t):
-                groups.setdefault(t.project(lhs), []).append(t.tid)
-        return groups
-    store = relation.column_store
-    table = store.table
-    vals = table.values
-    canon = table.canon
-    null_c = table.null_canon
-    index_of = store.index_of
-    lhs_cols = [store.values[index_of[a]].data for a in lhs]
-    pattern = cfd.lhs_pattern
-    const_checks: List[Tuple[int, int]] = []
-    for pos, attr in enumerate(lhs):
-        pv = pattern.get(attr, WILDCARD)
-        if not is_wildcard(pv):
-            const_checks.append((pos, table.canon_ref(pv)))
-    tids, rows = relation._live_rows()
-    if not lhs_cols:
-        # Empty LHS (pure-constant pattern): one ``()`` partition.
-        if tids:
-            groups[()] = list(tids)
-        return groups
-    single = len(lhs_cols) == 1
-    cache: Dict[Any, Any] = {}
-    if rows is None:
-        lhs_iter = lhs_cols[0] if single else zip(*lhs_cols)
-        packed = zip(lhs_iter, tids)
-    elif single:
-        col0 = lhs_cols[0]
-        packed = ((col0[row], tid) for tid, row in zip(tids, rows))
-    else:
-        packed = (
-            (tuple(col[row] for col in lhs_cols), tid)
-            for tid, row in zip(tids, rows)
-        )
-    for refs, tid in packed:
-        members = cache.get(refs, _MISSING)
-        if members is _MISSING:
-            ref_tuple = (refs,) if single else refs
-            member = True
-            for r in ref_tuple:
-                if canon[r] == null_c:  # nulls never match (Section 7)
-                    member = False
-                    break
-            if member:
-                for pos, want in const_checks:
-                    if canon[ref_tuple[pos]] != want:
-                        member = False
-                        break
-            if member:
-                key = tuple(vals[r] for r in ref_tuple)
-                members = cache[refs] = groups.setdefault(key, [])
-            else:
-                cache[refs] = None
-                continue
-        elif members is None:
-            continue
-        members.append(tid)
-    return groups
-
-
 class CFDGroupStore:
     """The shared grouping of one CFD spec ``(X, tp[X], B)``.
 
@@ -290,10 +215,10 @@ class CFDGroupStore:
 
     def bulk_index(self, relation: Relation) -> None:
         """Index every tuple of *relation* (assumed not yet indexed here),
-        taking the columnar array scan when the backing store and the
-        active check engine allow it — the blocking-scan hot loop of
-        every fresh :class:`GroupStoreRegistry`."""
-        if _columns.vectorized_for(relation):
+        taking the columnar array scan when the relation is column-backed
+        — the blocking-scan hot loop of every fresh
+        :class:`GroupStoreRegistry`."""
+        if relation.column_store is not None:
             self._bulk_index_columnar(relation)
         else:
             for t in relation:
@@ -590,8 +515,8 @@ class MDGroupStore:
 
     def bulk_index(self, relation: Relation) -> None:
         """Index every tuple of *relation* (columnar array scan when the
-        backing store and check engine allow)."""
-        if _columns.vectorized_for(relation):
+        relation is column-backed)."""
+        if relation.column_store is not None:
             self._bulk_index_columnar(relation)
         else:
             for t in relation:
@@ -794,7 +719,7 @@ class GroupStoreRegistry:
                     self._register(mstore)
                     fresh.append(mstore)
         if fresh:
-            if _columns.vectorized_for(self.relation):
+            if self.relation.column_store is not None:
                 # Column-at-a-time: each store scans the ref arrays once
                 # (C-speed zips + per-distinct-key caching) instead of
                 # sharing one per-tuple walk.

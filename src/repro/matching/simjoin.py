@@ -37,7 +37,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.relational.attribute import is_null
+from repro.relational.attribute import interning_key, is_null
 from repro.relational.columns import GLOBAL_TABLE
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
@@ -172,7 +172,8 @@ class QGramIndex:
         """Master tuples grouped by exact attribute value, first-encounter
         order.  Columnar masters group by interned ref (duplicate strings
         index once, no per-tuple dict reads); dict-backed masters group by
-        ``(type, value)``."""
+        the same key the interning table uses
+        (:func:`~repro.relational.attribute.interning_key`)."""
         store = master.column_store
         groups: List[ValueGroup] = []
         if store is not None:
@@ -198,9 +199,10 @@ class QGramIndex:
             if is_null(value):
                 continue
             try:
-                rows = by_key.get((value.__class__, value))
+                key = (value.__class__, value) if value else interning_key(value)
+                rows = by_key.get(key)
                 if rows is None:
-                    rows = by_key[(value.__class__, value)] = []
+                    rows = by_key[key] = []
                     keyed.append((value, rows))
             except TypeError:  # unhashable: own group, no dedup
                 rows = []

@@ -46,6 +46,7 @@ from repro.core.fixes import Fix, FixKind
 from repro.exceptions import TornFrame
 from repro.core.trace import RoundTrace, WorklistTrace
 from repro.pipeline.changeset import KEEP, CellEdit, Delete, Insert, Op
+from repro.relational.attribute import interning_key
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import CTuple
@@ -62,8 +63,10 @@ class ValueTable:
 
     Values are deduplicated by ``(type, value)`` so numerically equal
     scalars of different types (``0`` / ``0.0`` / ``False``) keep their
-    identity through a round-trip.  Unhashable values are appended
-    without deduplication (they cannot recur by equality anyway).
+    identity through a round-trip, and ``-0.0`` keeps its sign
+    (:func:`~repro.relational.attribute.interning_key`).  Unhashable
+    values are appended without deduplication (they cannot recur by
+    equality anyway).
     """
 
     __slots__ = ("values", "_index")
@@ -75,7 +78,7 @@ class ValueTable:
     def ref(self, value: Any) -> int:
         """Intern *value*, returning its table reference."""
         try:
-            key = (value.__class__, value)
+            key = (value.__class__, value) if value else interning_key(value)
             index = self._index.get(key)
             if index is None:
                 index = self._index[key] = len(self.values)

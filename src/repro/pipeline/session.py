@@ -61,7 +61,7 @@ from repro.analysis.consistency import assert_consistent, relation_is_clean
 from repro.constraints.cfd import CFD
 from repro.constraints.md import MD, NegativeMD, embed_negative
 from repro.constraints.rules import derive_rules
-from repro.core.cost import cell_changed, cell_cost
+from repro.core.cost import cell_cost
 from repro.core.crepair import CRepairResult, crepair
 from repro.core.erepair import ERepairResult, erepair
 from repro.core.fixes import FixLog
@@ -73,6 +73,7 @@ from repro.indexing.blocking import MDBlockingIndex, build_md_indexes
 from repro.indexing.group_store import CFDGroupStore, GroupStoreRegistry
 from repro.indexing.violation_index import ViolationIndex
 from repro.pipeline.changeset import CellEdit, Changeset, Insert
+from repro.relational.attribute import cell_changed
 from repro.relational.relation import Relation
 
 Cell = Tuple[int, str]

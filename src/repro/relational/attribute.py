@@ -11,7 +11,8 @@ matching ``≍`` is false on ``null``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from math import copysign
+from typing import Any, Iterable, Optional, Tuple
 
 from repro.exceptions import SchemaError
 
@@ -56,6 +57,30 @@ NULL = NullType()
 def is_null(value: Any) -> bool:
     """Return ``True`` iff *value* is the distinguished :data:`NULL` marker."""
     return value is NULL
+
+
+def cell_changed(old: Any, new: Any) -> bool:
+    """Whether a cell holding *old* differs from *new*.  Identity comes
+    first: a cell that holds the very same object is unchanged even when
+    the object is unequal to itself (NaN) — the equality the columnar
+    backend's interned refs give, so both backends agree."""
+    return old is not new and old != new
+
+
+def interning_key(value: Any) -> Tuple[type, Any]:
+    """The key value-interning tables deduplicate *value* under.
+
+    ``(type, value)``, so ``0``/``0.0``/``False`` keep distinct refs —
+    except ``-0.0``, which equals and hashes like ``0.0`` and would fold
+    into whichever zero was interned first, losing its sign.  It gets a
+    key of its own (a string can never be a float's value) and still
+    compares ``==`` to ``0.0``.  Only falsy values can be ``-0.0``, so
+    tables build ``(type, value)`` inline for truthy values and call
+    this for the rest.
+    """
+    if isinstance(value, float) and value == 0.0 and copysign(1.0, value) < 0.0:
+        return (value.__class__, "-0.0")
+    return (value.__class__, value)
 
 
 @dataclass(frozen=True)

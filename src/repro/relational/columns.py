@@ -46,24 +46,19 @@ Two process-wide switches, both overridable per call site:
 
 * backend — ``REPRO_COLUMNAR=0`` (or :func:`set_default_columnar`)
   makes new relations dict-backed again (``Relation(schema,
-  columnar=...)`` overrides per relation);
-* check engine — ``REPRO_CHECK_ENGINE=reference`` (or
-  :func:`set_check_engine`) routes violation checks and group-store bulk
-  builds through the original per-tuple loops.  The vectorized engine is
-  byte-identical to the reference engine by construction and by the
-  property tests in ``tests/properties/test_property_columnar.py``;
-* repair engine — ``REPRO_REPAIR_ENGINE=reference`` (or
-  :func:`set_repair_engine`) routes the cRepair/eRepair/hRepair kernels
-  through the original per-tuple loops instead of the ref-column
-  (and numpy-accelerated) paths.  The same byte-identity contract
-  applies, enforced by ``tests/properties/test_property_repair_engines.py``;
+  columnar=...)`` overrides per relation).  The backend alone picks the
+  kernels: columnar relations take the ref-column check scan, group-store
+  bulk builds and hRepair class builder, dict-backed relations take the
+  per-tuple reference loops — the oracle every columnar kernel must
+  reproduce byte for byte (``tests/properties/test_property_columnar.py``,
+  ``tests/properties/test_property_repair_engines.py``);
 * match engine — ``REPRO_MATCH_ENGINE=reference`` (or
   :func:`set_match_engine`) routes MD premise matching back through the
   per-tuple top-l suffix-tree retrieval instead of the filtered
-  inverted-index similarity join (``matching/simjoin.py``).  Unlike the
-  other pairs, the join engine is *more* exact than the reference one
-  (top-l retrieval can drop true matches); match sets are byte-identical
-  wherever the reference path is itself exhaustive, enforced by
+  inverted-index similarity join (``matching/simjoin.py``).  The join
+  engine is *more* exact than the reference one (top-l retrieval can
+  drop true matches); match sets are byte-identical wherever the
+  reference path is itself exhaustive, enforced by
   ``tests/properties/test_property_match_engines.py``.
 """
 
@@ -75,14 +70,8 @@ from contextlib import contextmanager
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy accelerates the repair kernels; every caller falls back to
-    # pure python when it is absent, so the import is best-effort.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the image
-    _np = None
-
 from repro.exceptions import SchemaError
-from repro.relational.attribute import NULL
+from repro.relational.attribute import NULL, interning_key
 from repro.relational.schema import Schema
 from repro.relational.tuples import CTuple
 
@@ -93,22 +82,13 @@ __all__ = [
     "IntColumn",
     "ValueTable",
     "GLOBAL_TABLE",
-    "check_engine",
     "default_columnar",
     "match_engine",
     "materializations",
-    "numpy_or_none",
-    "repair_engine",
-    "repair_vectorized_for",
-    "set_check_engine",
     "set_default_columnar",
     "set_match_engine",
-    "set_repair_engine",
     "using_backend",
-    "using_engine",
     "using_match_engine",
-    "using_repair_engine",
-    "vectorized_for",
 ]
 
 
@@ -116,10 +96,7 @@ __all__ = [
 # Process-wide switches
 # ----------------------------------------------------------------------
 _DEFAULT_COLUMNAR: bool = os.environ.get("REPRO_COLUMNAR", "1") != "0"
-_CHECK_ENGINE: str = os.environ.get("REPRO_CHECK_ENGINE", "vectorized")
-_REPAIR_ENGINE: str = os.environ.get("REPRO_REPAIR_ENGINE", "vectorized")
 _MATCH_ENGINE: str = os.environ.get("REPRO_MATCH_ENGINE", "join")
-_ENGINES = ("vectorized", "reference")
 _MATCH_ENGINES = ("join", "reference")
 
 #: Counter of on-demand ``_values``/``_conf`` dict materializations by
@@ -140,51 +117,6 @@ def set_default_columnar(flag: bool) -> bool:
     return previous
 
 
-def check_engine() -> str:
-    """The active check engine: ``"vectorized"`` or ``"reference"``."""
-    return _CHECK_ENGINE
-
-
-def set_check_engine(name: str) -> str:
-    """Select the check engine; returns the previous one."""
-    global _CHECK_ENGINE
-    if name not in _ENGINES:
-        raise ValueError(f"unknown check engine {name!r}; expected one of {_ENGINES}")
-    previous = _CHECK_ENGINE
-    _CHECK_ENGINE = name
-    return previous
-
-
-def vectorized_for(relation: Any) -> bool:
-    """Whether the vectorized engine applies to *relation* right now."""
-    return _CHECK_ENGINE == "vectorized" and getattr(relation, "column_store", None) is not None
-
-
-def repair_engine() -> str:
-    """The active repair engine: ``"vectorized"`` or ``"reference"``."""
-    return _REPAIR_ENGINE
-
-
-def set_repair_engine(name: str) -> str:
-    """Select the repair engine; returns the previous one."""
-    global _REPAIR_ENGINE
-    if name not in _ENGINES:
-        raise ValueError(f"unknown repair engine {name!r}; expected one of {_ENGINES}")
-    previous = _REPAIR_ENGINE
-    _REPAIR_ENGINE = name
-    return previous
-
-
-def repair_vectorized_for(relation: Any) -> bool:
-    """Whether the vectorized repair kernels apply to *relation* right now
-    (the flag is on *and* the relation is column-backed — dict relations
-    always take the reference per-tuple path)."""
-    return (
-        _REPAIR_ENGINE == "vectorized"
-        and getattr(relation, "column_store", None) is not None
-    )
-
-
 def match_engine() -> str:
     """The active MD match engine: ``"join"`` or ``"reference"``."""
     return _MATCH_ENGINE
@@ -202,15 +134,6 @@ def set_match_engine(name: str) -> str:
     return previous
 
 
-def numpy_or_none() -> Any:
-    """The ``numpy`` module when importable, else ``None`` — repair
-    kernels branch on this and keep a pure-python fallback.  Note that
-    numpy views over :class:`IntColumn` buffers (``np.frombuffer``) go
-    stale when the column widens, so callers must build views fresh at
-    each use site, never cache them across mutations."""
-    return _np
-
-
 @contextmanager
 def using_backend(columnar: bool) -> Iterator[None]:
     """Temporarily force the backend default (tests)."""
@@ -219,26 +142,6 @@ def using_backend(columnar: bool) -> Iterator[None]:
         yield
     finally:
         set_default_columnar(previous)
-
-
-@contextmanager
-def using_engine(name: str) -> Iterator[None]:
-    """Temporarily force the check engine (tests)."""
-    previous = set_check_engine(name)
-    try:
-        yield
-    finally:
-        set_check_engine(previous)
-
-
-@contextmanager
-def using_repair_engine(name: str) -> Iterator[None]:
-    """Temporarily force the repair engine (tests)."""
-    previous = set_repair_engine(name)
-    try:
-        yield
-    finally:
-        set_repair_engine(previous)
 
 
 @contextmanager
@@ -268,12 +171,15 @@ class ValueTable:
     """A process-wide scalar dictionary: value → small integer reference.
 
     Generalizes :class:`repro.pipeline.payload.ValueTable` (same
-    ``(type, value)`` dedup keeping ``0``/``0.0``/``False`` distinct)
+    :func:`~repro.relational.attribute.interning_key` dedup keeping
+    ``0``/``0.0``/``False`` distinct and ``-0.0`` apart from ``0.0``)
     with a **canonical-reference** map: ``canon[ref]`` is the first ref
-    whose value compares ``==`` to ``values[ref]`` under plain Python
-    equality (dict/set semantics).  Canon-ref equality is therefore
-    exactly value equality — the property every vectorized check relies
-    on to replace ``t[A] == t2[A]`` with one int comparison.
+    whose value compares ``==`` to ``values[ref]`` under dict/set
+    semantics — identity first, so the very same NaN object is one
+    class.  Canon-ref equality is therefore exactly the equality of
+    :func:`~repro.relational.attribute.cell_changed` — the property every
+    columnar kernel relies on to replace a cell comparison with one int
+    comparison.
 
     ``NULL`` is interned at construction, so ``null_canon`` is a stable
     constant (ref 0) for null tests on refs.
@@ -296,7 +202,7 @@ class ValueTable:
     def ref(self, value: Any) -> int:
         """Intern *value*, returning its table reference."""
         try:
-            key = (value.__class__, value)
+            key = (value.__class__, value) if value else interning_key(value)
             index = self._index.get(key)
             if index is None:
                 index = self._index[key] = len(self.values)

@@ -44,7 +44,7 @@ from typing import (
 
 from repro.exceptions import DataError, SchemaError
 from repro.relational import columns as _columns
-from repro.relational.attribute import NULL
+from repro.relational.attribute import NULL, cell_changed
 from repro.relational.columns import ColumnStore, ColumnTuple, ValueTable
 from repro.relational.schema import Schema
 from repro.relational.tuples import CTuple
@@ -485,7 +485,7 @@ class Relation:
         ``t.set_conf`` (indexes never depend on it).
         """
         old = t[attr]
-        if old == value:
+        if not cell_changed(old, value):
             return False
         t[attr] = value
         for observer in self._observers:

@@ -82,6 +82,19 @@ class TestQGramIndex:
         (group,) = [g for g in index.groups if g.string == "edinburgh royal"]
         assert sorted(s.tid for s in group.tuples) == [0, 3]
 
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_signed_zeros_keep_their_own_groups(self, columnar):
+        schema = Schema("Z", ["v"])
+        with using_backend(columnar):
+            zeros = Relation.from_dicts(
+                schema, [{"v": 0.0}, {"v": -0.0}, {"v": 0.0}]
+            )
+        predicate = edit_within(1)
+        index = QGramIndex(zeros, "v", join_filter_for(predicate), predicate)
+        assert [
+            (g.string, [s.tid for s in g.tuples]) for g in index.groups
+        ] == [("0.0", [0, 2]), ("-0.0", [1])]
+
     def test_null_master_values_are_not_indexed(self, master):
         index = self._index(master, edit_within(2))
         assert all(s.tid != 4 for g in index.groups for s in g.tuples)

@@ -34,6 +34,7 @@ from repro.pipeline.sharding import (
     ShardPlanner,
 )
 from repro.relational import NULL, Relation, Schema
+from repro.relational.columns import using_backend
 
 SCHEMA = Schema("R", ["a", "b", "c"])
 
@@ -90,6 +91,18 @@ class TestRoundTrips:
                 assert type(twin[attr]) is type(t[attr])
                 assert twin.conf(attr) == t.conf(attr)
         assert out.by_tid(0)["b"] is NULL
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_negative_zero_roundtrip(self, columnar):
+        with using_backend(columnar):
+            rel = Relation(SCHEMA)
+            rel.add_row({"a": 0.0, "b": -0.0, "c": -0.0})
+            rel.add_row({"a": -0.0, "b": 0.0, "c": 0})
+            table = payload.ValueTable()
+            blob = payload.encode_relation(rel, table)
+            out = payload.decode_relation(blob, table.values)
+        cells = [[repr(t[a]) for a in SCHEMA.names] for t in out]
+        assert cells == [["0.0", "-0.0", "-0.0"], ["-0.0", "0.0", "0"]]
 
     def test_fixes_roundtrip(self):
         fixes = [

@@ -32,6 +32,7 @@ from repro.exceptions import DataError, SnapshotCorrupt, SnapshotError
 from repro.pipeline import Changeset, CleaningSession, ShardedCleaningSession
 from repro.pipeline import snapshot
 from repro.relational import Relation, Schema
+from repro.relational.columns import using_backend
 from repro.similarity.predicates import edit_within
 
 SCHEMA = Schema("R", ["blk", "K", "A", "B", "nm"])
@@ -169,6 +170,21 @@ class TestSessionSnapshot:
         assert twin._last_clean == live._last_clean
         assert twin.base._next_tid == live.base._next_tid
         assert twin.base._retired == live.base._retired
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_negative_zero_survives_round_trip(self, tmp_path, columnar):
+        schema = Schema("Z", ["k", "v"])
+        rows = [{"k": "a", "v": 0.0}, {"k": "b", "v": -0.0}]
+        with using_backend(columnar):
+            live = CleaningSession(
+                cfds=[CFD(schema, ["k"], ["v"])], config=CONFIG
+            )
+            live.clean(Relation.from_dicts(schema, rows))
+            path = tmp_path / "zero.snap"
+            live.save(path)
+            twin = CleaningSession.restore(path)
+        for relation in (twin.base, twin.working):
+            assert [repr(t["v"]) for t in relation] == ["0.0", "-0.0"]
 
     def test_match_cache_is_rewarmed(self, tmp_path):
         live = make_session()

@@ -1,19 +1,19 @@
-"""Property tests: the columnar backend + vectorized check engine is
-byte-identical to the dict backend + per-tuple reference engine.
+"""Property tests: the columnar backend is byte-identical to the
+dict backend, whose per-tuple reference loops are the oracle.
 
 Four families:
 
-1. **Engine equivalence** — full cleans of the HOSP and PART testbeds
-   under every backend×engine configuration must produce identical fix
-   logs (every field), per-cell cost totals, satisfaction verdicts,
-   repaired states and phase scheduling traces.
+1. **Backend equivalence** — full cleans of the HOSP and PART testbeds
+   on both backends must produce identical fix logs (every field),
+   per-cell cost totals, satisfaction verdicts, repaired states and
+   phase scheduling traces.
 2. **Fuzzed mutation interleavings** — arbitrary sequences of
    ``set_value`` / insert / delete / ``remove`` applied to a columnar
    relation and a dict-backed twin keep the two byte-identical, keep the
    columns coherent with the tuple views (group stores attached to the
    columnar relation pass ``check_consistency``), and keep retired tids
    dead.
-3. **Zero-materialization regression** — the vectorized bulk builds and
+3. **Zero-materialization regression** — the columnar bulk builds and
    the blocking-scan check loop never materialize a per-tuple ``_values``
    / ``_conf`` dict (the counter in :mod:`repro.relational.columns`).
 4. **Column gather ≡ row-by-row copy** — ``clone()``,
@@ -35,15 +35,11 @@ from repro.indexing.violation_index import ViolationIndex
 from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
 from repro.relational import columns
-from repro.relational.columns import ColumnStore, using_backend, using_engine
+from repro.relational.columns import ColumnStore, using_backend
 
-#: backend (columnar?) × check engine; the last entry is the seed-era
-#: configuration every other one must reproduce byte for byte.
-CONFIGS = [
-    ("columnar+vectorized", True, "vectorized"),
-    ("columnar+reference", True, "reference"),
-    ("dict+reference", False, "reference"),
-]
+#: name → columnar?; the dict backend is the oracle the columnar one
+#: must reproduce byte for byte.
+BACKENDS = {"columnar": True, "dict": False}
 
 
 def _fingerprint(log):
@@ -62,12 +58,12 @@ def _full_state(relation):
 
 
 # ----------------------------------------------------------------------
-# 1. Engine equivalence on the generated testbeds
+# 1. Backend equivalence on the generated testbeds
 # ----------------------------------------------------------------------
-def _clean_observables(dataset: str, columnar: bool, engine: str, **params):
-    """One full traced clean under the given backend×engine; everything
+def _clean_observables(dataset: str, columnar: bool, **params):
+    """One full traced clean on the given backend; everything
     observable, with no wall-clock anywhere."""
-    with using_backend(columnar), using_engine(engine):
+    with using_backend(columnar):
         ds = generate(dataset, **params)
         session = CleaningSession(
             cfds=ds.cfds, mds=ds.mds, master=ds.master,
@@ -87,12 +83,12 @@ def _clean_observables(dataset: str, columnar: bool, engine: str, **params):
 def test_hosp_clean_identical_across_engines(seed):
     results = {
         name: _clean_observables(
-            "hosp", columnar, engine,
+            "hosp", columnar,
             size=150, master_size=75, noise_rate=0.08, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, columnar in BACKENDS.items()
     }
-    reference = results["dict+reference"]
+    reference = results["dict"]
     assert reference["fix_log"]  # the workload must actually repair
     for name, observed in results.items():
         assert observed == reference, f"{name} diverged from the reference"
@@ -102,12 +98,12 @@ def test_hosp_clean_identical_across_engines(seed):
 def test_part_clean_identical_across_engines(seed):
     results = {
         name: _clean_observables(
-            "partitioned", columnar, engine,
+            "partitioned", columnar,
             size=600, n_blocks=8, noise_rate=0.05, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, columnar in BACKENDS.items()
     }
-    reference = results["dict+reference"]
+    reference = results["dict"]
     assert reference["fix_log"]
     for name, observed in results.items():
         assert observed == reference, f"{name} diverged from the reference"
@@ -115,21 +111,21 @@ def test_part_clean_identical_across_engines(seed):
 
 def test_violation_scan_identical_across_engines():
     """`relation_violations` itself (both null semantics) byte-matches."""
-    with using_backend(True):
-        ds = generate("hosp", size=200, master_size=100, noise_rate=0.1, seed=5)
-    for semantics in ("tolerant", "strict"):
-        with using_engine("vectorized"):
-            fast = relation_violations(ds.dirty, ds.cfds, null_semantics=semantics)
-        with using_engine("reference"):
-            slow = relation_violations(ds.dirty, ds.cfds, null_semantics=semantics)
-        assert [
-            (v.constraint.name, v.tids, v.attr) for v in fast
-        ] == [(v.constraint.name, v.tids, v.attr) for v in slow]
-    with using_engine("vectorized"):
-        fast_clean = relation_is_clean(ds.dirty, ds.cfds, ds.mds, ds.master)
-    with using_engine("reference"):
-        slow_clean = relation_is_clean(ds.dirty, ds.cfds, ds.mds, ds.master)
-    assert fast_clean == slow_clean
+    observed = {}
+    for name, columnar in BACKENDS.items():
+        with using_backend(columnar):
+            ds = generate("hosp", size=200, master_size=100, noise_rate=0.1, seed=5)
+        assert (ds.dirty.column_store is not None) == columnar
+        observed[name] = [
+            [
+                (v.constraint.name, v.tids, v.attr)
+                for v in relation_violations(
+                    ds.dirty, ds.cfds, null_semantics=semantics
+                )
+            ]
+            for semantics in ("tolerant", "strict")
+        ] + [relation_is_clean(ds.dirty, ds.cfds, ds.mds, ds.master)]
+    assert observed["columnar"] == observed["dict"]
 
 
 # ----------------------------------------------------------------------
@@ -254,10 +250,8 @@ class TestFuzzedInterleavings:
         flat = _build(data, columnar=False)
         _apply_ops(columnar, compact)
         _apply_ops(flat, compact)
-        with using_engine("vectorized"):
-            fast = relation_violations(columnar, CFDS)
-        with using_engine("reference"):
-            slow = relation_violations(flat, CFDS)
+        fast = relation_violations(columnar, CFDS)
+        slow = relation_violations(flat, CFDS)
         assert [
             (v.constraint.name, v.tids, v.attr) for v in fast
         ] == [(v.constraint.name, v.tids, v.attr) for v in slow]
@@ -278,16 +272,15 @@ def test_blocking_scan_hot_loop_materializes_no_dicts():
     from repro.constraints.rules import derive_rules
 
     rules = derive_rules(ds.cfds, ds.mds)
-    with using_engine("vectorized"):
-        before = columns.materializations()
-        registry = GroupStoreRegistry(relation, attach=False)
-        registry.ensure_rules(rules)
-        index = ViolationIndex(relation, derive_rules(ds.cfds), attach=False)
-        relation_violations(relation, ds.cfds, violation_index=index)
-        relation_violations(relation, ds.cfds, null_semantics="strict")
-        assert columns.materializations() == before, (
-            "the vectorized hot loop materialized per-tuple dicts"
-        )
+    before = columns.materializations()
+    registry = GroupStoreRegistry(relation, attach=False)
+    registry.ensure_rules(rules)
+    index = ViolationIndex(relation, derive_rules(ds.cfds), attach=False)
+    relation_violations(relation, ds.cfds, violation_index=index)
+    relation_violations(relation, ds.cfds, null_semantics="strict")
+    assert columns.materializations() == before, (
+        "the vectorized hot loop materialized per-tuple dicts"
+    )
 
 
 # ----------------------------------------------------------------------

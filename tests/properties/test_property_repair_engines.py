@@ -1,69 +1,58 @@
-"""Property tests: the vectorized repair engine is byte-identical to
-the per-tuple reference repair path.
+"""Property tests: the columnar repair kernels are byte-identical to
+the dict backend's per-tuple reference loops, the one oracle.
 
-``REPRO_REPAIR_ENGINE`` selects how cRepair seeds its worklist and
-resolves constant-CFD targets, how eRepair scores and applies majority
-candidates, and how hRepair builds its equivalence classes — ref-column
-kernels versus the seed-era per-tuple loops.  The standing invariant is
-that the choice is *unobservable*: ordered fix logs (every field),
-per-cell cost maps, phase scheduling traces, repaired states and clean
-verdicts must match byte for byte under every
-``REPRO_COLUMNAR`` × ``REPRO_REPAIR_ENGINE`` configuration.
+The relation's backend alone picks how hRepair builds its equivalence
+classes (ref-column class builder versus the seed-era per-tuple loop),
+how violation checks scan and how group stores bulk-build.  The
+standing invariant is that the choice is *unobservable*: ordered fix
+logs (every field), per-cell cost maps, phase scheduling traces,
+repaired states and clean verdicts must match byte for byte on both
+backends.
 
 Three families:
 
 1. **Testbed equivalence** — full cleans of the HOSP and PART testbeds
-   under all four backend×repair-engine configurations.
+   on both backends.
 2. **Fuzzed mutation interleavings** — arbitrary edit / insert / remove
    sequences applied before cleaning; the whole repair trajectory must
-   stay identical across configurations.
-3. **Flag mechanics** — the engine switch validates its input, restores
-   on exit, and degrades to the reference path for dict-backed
-   relations.
+   stay identical across backends.
+3. **Value domain** — NaN (one shared object and a second one),
+   ``-0.0``/``0.0``/``0``/``False``, NULL and non-ASCII strings under
+   variable and constant CFDs and an equality MD: violation lists and
+   full cleans, compared at ``repr`` level, match across backends.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.consistency import relation_violations
 from repro.constraints import CFD, MD
 from repro.core import UniCleanConfig
 from repro.evaluation import generate
 from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
-from repro.relational.columns import (
-    repair_engine,
-    repair_vectorized_for,
-    set_repair_engine,
-    using_backend,
-    using_repair_engine,
-)
+from repro.relational.attribute import cell_changed
+from repro.relational.columns import using_backend
 
-#: backend (columnar?) × repair engine; the last entry is the seed-era
-#: configuration every other one must reproduce byte for byte.  The
-#: dict+vectorized row checks the graceful degrade: without a column
-#: store the flag is inert and the reference path runs.
-CONFIGS = [
-    ("columnar+vectorized", True, "vectorized"),
-    ("columnar+reference", True, "reference"),
-    ("dict+vectorized", False, "vectorized"),
-    ("dict+reference", False, "reference"),
-]
+#: name → columnar?; the dict backend is the oracle the columnar one
+#: must reproduce byte for byte.
+BACKENDS = {"columnar": True, "dict": False}
 
 
-def _fingerprint(log):
+def _fingerprint(log, show=repr):
     return [
-        (f.kind.value, f.rule_name, f.tid, f.attr, repr(f.old_value),
-         repr(f.new_value), repr(f.old_conf), repr(f.new_conf),
+        (f.kind.value, f.rule_name, f.tid, f.attr, show(f.old_value),
+         show(f.new_value), repr(f.old_conf), repr(f.new_conf),
          repr(f.source))
         for f in log
     ]
 
 
-def _full_state(relation):
+def _full_state(relation, show=repr):
     names = relation.schema.names
     return {
-        t.tid: tuple((repr(t[a]), t.conf(a)) for a in names) for t in relation
+        t.tid: tuple((show(t[a]), t.conf(a)) for a in names) for t in relation
     }
 
 
@@ -90,8 +79,8 @@ def _assert_all_match(results, reference_name):
 # ----------------------------------------------------------------------
 # 1. Testbed equivalence
 # ----------------------------------------------------------------------
-def _clean_observables(dataset, columnar, engine, **params):
-    with using_backend(columnar), using_repair_engine(engine):
+def _clean_observables(dataset, columnar, **params):
+    with using_backend(columnar):
         ds = generate(dataset, **params)
         session = CleaningSession(
             cfds=ds.cfds, mds=ds.mds, master=ds.master,
@@ -105,26 +94,26 @@ def _clean_observables(dataset, columnar, engine, **params):
 def test_hosp_repair_identical_across_engines(seed):
     results = {
         name: _clean_observables(
-            "hosp", columnar, engine,
+            "hosp", columnar,
             size=150, master_size=75, noise_rate=0.08, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, columnar in BACKENDS.items()
     }
-    assert results["dict+reference"]["fix_log"]  # workload must repair
-    _assert_all_match(results, "dict+reference")
+    assert results["dict"]["fix_log"]  # workload must repair
+    _assert_all_match(results, "dict")
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_part_repair_identical_across_engines(seed):
     results = {
         name: _clean_observables(
-            "partitioned", columnar, engine,
+            "partitioned", columnar,
             size=600, n_blocks=8, noise_rate=0.05, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, columnar in BACKENDS.items()
     }
-    assert results["dict+reference"]["fix_log"]
-    _assert_all_match(results, "dict+reference")
+    assert results["dict"]["fix_log"]
+    _assert_all_match(results, "dict")
 
 
 # ----------------------------------------------------------------------
@@ -180,8 +169,8 @@ def _build_and_mutate(data, mutations):
     return relation
 
 
-def _trajectory(data, mutations, columnar, engine):
-    with using_backend(columnar), using_repair_engine(engine):
+def _trajectory(data, mutations, columnar):
+    with using_backend(columnar):
         relation = _build_and_mutate(data, mutations)
         if not len(relation):
             return None
@@ -199,38 +188,137 @@ class TestFuzzedRepairTrajectories:
     @settings(max_examples=25, deadline=None)
     def test_trajectory_identical_across_engines(self, data, mutations):
         results = {
-            name: _trajectory(data, mutations, columnar, engine)
-            for name, columnar, engine in CONFIGS
+            name: _trajectory(data, mutations, columnar)
+            for name, columnar in BACKENDS.items()
         }
-        reference = results["dict+reference"]
+        reference = results["dict"]
         if reference is None:
             assert all(observed is None for observed in results.values())
             return
-        _assert_all_match(results, "dict+reference")
+        _assert_all_match(results, "dict")
 
 
 # ----------------------------------------------------------------------
-# 3. Flag mechanics
+# 3. Value domain
 # ----------------------------------------------------------------------
-class TestRepairEngineFlag:
-    def test_set_repair_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_repair_engine("turbo")
+NAN = float("nan")  # one shared NaN object: equal to itself by identity
+OTHER_NAN = float("nan")  # a second NaN, unequal to the first
+DOMAIN = [NAN, OTHER_NAN, -0.0, 0.0, 0, False, NULL, "ünïcødé ✓", "k", "x"]
 
-    def test_using_repair_engine_restores(self):
-        before = repair_engine()
-        with using_repair_engine("reference"):
-            assert repair_engine() == "reference"
-        assert repair_engine() == before
+_NAN_NAMES = {id(NAN): "NAN", id(OTHER_NAN): "OTHER_NAN"}
 
-    def test_dict_backed_relations_degrade_to_reference(self):
-        flat = Relation(SCHEMA, columnar=False)
-        flat.add_row({"K": "k1", "A": "a1", "B": "b1"})
-        with using_repair_engine("vectorized"):
-            assert not repair_vectorized_for(flat)
-        with using_backend(True):
-            columnar = Relation.from_dicts(SCHEMA, [{"K": "k1"}])
-        with using_repair_engine("vectorized"):
-            assert repair_vectorized_for(columnar)
-        with using_repair_engine("reference"):
-            assert not repair_vectorized_for(columnar)
+
+def _show(value):
+    """``repr`` that tells the two NaN objects apart."""
+    return _NAN_NAMES.get(id(value), repr(value))
+
+
+V_SCHEMA = Schema("V", ["a", "b", "c"])
+V_MASTER_SCHEMA = Schema("Vm", ["a", "c"])
+#: Rule names a drawn rule set picks from; ``const`` and ``md`` take
+#: their constants / master rows from the same domain as the data.
+RULES = ("fd_ab", "fd_cb", "const", "md")
+
+domain_values = st.sampled_from(DOMAIN)
+confidences = st.sampled_from([None, 0.5, 1.0])
+domain_rows = st.lists(
+    st.tuples(domain_values, domain_values, domain_values, confidences),
+    min_size=2,
+    max_size=7,
+)
+rule_sets = st.lists(st.sampled_from(RULES), min_size=1, max_size=4, unique=True)
+constants = st.tuples(
+    st.sampled_from([v for v in DOMAIN if v is not NULL]),
+    st.sampled_from([v for v in DOMAIN if v is not NULL]),
+)
+master_rows = st.lists(
+    st.tuples(domain_values, domain_values), min_size=1, max_size=3
+)
+
+
+def _value_rules(names, constant):
+    cfds = []
+    if "fd_ab" in names:
+        cfds.append(CFD(V_SCHEMA, ["a"], ["b"], name="fd_ab"))
+    if "fd_cb" in names:
+        cfds.append(CFD(V_SCHEMA, ["c"], ["b"], name="fd_cb"))
+    if "const" in names:
+        lhs, rhs = constant
+        cfds.append(
+            CFD(V_SCHEMA, ["a"], ["c"], {"a": lhs, "c": rhs}, name="const_ac")
+        )
+    mds = []
+    if "md" in names:
+        mds.append(
+            MD(V_SCHEMA, V_MASTER_SCHEMA, [("a", "a")], [("c", "c")], name="md_ac")
+        )
+    return cfds, mds
+
+
+def _value_observables(rows, names, constant, master, columnar):
+    cfds, mds = _value_rules(names, constant)
+    with using_backend(columnar):
+        relation = Relation(V_SCHEMA)
+        for a, b, c, conf in rows:
+            relation.add_row(
+                {"a": a, "b": b, "c": c}, {"a": conf, "b": conf, "c": conf}
+            )
+        assert (relation.column_store is not None) == columnar
+        out = {
+            semantics: [
+                (v.constraint.name, v.tids, v.attr)
+                for v in relation_violations(
+                    relation, cfds, null_semantics=semantics
+                )
+            ]
+            for semantics in ("tolerant", "strict")
+        }
+        master_relation = Relation.from_dicts(
+            V_MASTER_SCHEMA, [{"a": a, "c": c} for a, c in master]
+        )
+        session = CleaningSession(
+            cfds=cfds, mds=mds, master=master_relation if mds else None,
+            config=UniCleanConfig(eta=1.0),
+        )
+        try:
+            result = session.clean(relation)
+        except Exception as exc:  # must fail the same way on both backends
+            out["raised"] = f"{type(exc).__name__}: {exc}"
+            return out
+    # Every logged fix changes its cell (no ``nan -> nan`` on one NaN).
+    assert all(cell_changed(f.old_value, f.new_value) for f in result.fix_log)
+    out["fix_log"] = _fingerprint(result.fix_log, _show)
+    out["state"] = _full_state(result.repaired, _show)
+    out["cell_costs"] = [(cell, repr(c)) for cell, c in session._cell_costs.items()]
+    out["cost"] = repr(result.cost)
+    out["clean"] = result.clean
+    return out
+
+
+class TestValueDomain:
+    @given(domain_rows, rule_sets, constants, master_rows)
+    @settings(max_examples=150, deadline=None)
+    # Two tuples of one a -> b group share one NaN object in b: the
+    # pair is not a violation.
+    @example([("k", NAN, "x", 0.5), ("k", NAN, "x", 0.5)], ["fd_ab"],
+             ("k", "x"), [("k", "x")])
+    # eRepair's majority is the shared NaN: one x -> nan fix and no
+    # nan -> nan fixes on the cells that already hold it.
+    @example([("k", NAN, "x", 0.5)] * 4 + [("k", "x", "x", 0.5)], ["fd_ab"],
+             ("k", "x"), [("k", "x")])
+    # hRepair merges two NaNs into the first one: the cell that already
+    # holds it is not re-logged as a ``nan -> nan`` possible fix.
+    @example([("k", NAN, "x", None), ("k", OTHER_NAN, "x", None)], ["fd_ab"],
+             ("k", "x"), [("k", "x")])
+    # -0.0 keeps its sign on the columnar backend.
+    @example([(0.0, "x", "x", None), (-0.0, "x", "x", None)], ["fd_ab"],
+             ("k", "x"), [("k", "x")])
+    def test_columnar_matches_dict_oracle(self, rows, names, constant, master):
+        results = {
+            name: _value_observables(rows, names, constant, master, columnar)
+            for name, columnar in BACKENDS.items()
+        }
+        for key, expected in results["dict"].items():
+            assert results["columnar"][key] == expected, (
+                f"columnar diverged from dict on {key}"
+            )

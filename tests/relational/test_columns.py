@@ -21,10 +21,9 @@ from repro.relational.columns import (
     IntColumn,
     ValueTable,
     materializations,
-    set_check_engine,
     using_backend,
-    using_engine,
 )
+from repro.pipeline import payload
 
 
 @pytest.fixture()
@@ -94,6 +93,30 @@ class TestValueTable:
         assert a != b  # no dedup possible
         assert table.canon[a] == a and table.canon[b] == b
         assert table.values[a] == ["x"]
+
+    @pytest.mark.parametrize("table_type", [ValueTable, payload.ValueTable])
+    def test_negative_zero_keeps_its_own_ref(self, table_type):
+        # -0.0 equals and hashes like 0.0; a (type, value) key alone
+        # would hand back whichever zero was interned first.
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            table = table_type()
+            refs = [table.ref(first), table.ref(second), table.ref(first)]
+            assert refs[0] != refs[1] and refs[0] == refs[2]
+            assert [repr(table.values[r]) for r in refs] == [
+                repr(first), repr(second), repr(first),
+            ]
+
+    def test_negative_zero_shares_the_zero_canon_class(self):
+        table = ValueTable()
+        neg, pos, r_int = table.ref(-0.0), table.ref(0.0), table.ref(0)
+        assert table.canon[neg] == table.canon[pos] == table.canon[r_int]
+        assert table.find_canon(0.0) == table.canon[neg]
+
+    def test_same_nan_object_is_one_ref_and_one_class(self):
+        table = ValueTable()
+        nan, other = float("nan"), float("nan")
+        assert table.ref(nan) == table.ref(nan)
+        assert table.canon[table.ref(nan)] != table.canon[table.ref(other)]
 
     def test_intern_tuple_returns_table_residents(self):
         table = ValueTable()
@@ -485,19 +508,14 @@ class TestBulkAccessors:
         for attr in schema.names:
             assert columnar.active_domain(attr) == flat.active_domain(attr)
 
-
-class TestEngineSwitches:
-    def test_set_check_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_check_engine("turbo")
-
-    def test_using_engine_restores(self):
-        from repro.relational.columns import check_engine
-
-        before = check_engine()
-        with using_engine("reference"):
-            assert check_engine() == "reference"
-        assert check_engine() == before
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_negative_zero_reads_back_on_both_backends(self, columnar):
+        schema = Schema("Z", ["a"])
+        with using_backend(columnar):
+            rel = Relation.from_dicts(schema, [{"a": 0.0}, {"a": -0.0}])
+        assert [repr(t["a"]) for t in rel] == ["0.0", "-0.0"]
+        # -0.0 == 0.0, so rewriting one zero as the other is no change.
+        assert not rel.set_value(rel.by_tid(0), "a", -0.0)
 
 
 class TestCompaction:
