@@ -120,11 +120,15 @@ class _CRepair:
         self.confirmed = 0
         self.fired = 0
 
-        # Indexes rules by the data-side attributes they consume.
+        # Indexes rules by the data-side attributes they consume; the
+        # worklist's per-event reads of each rule's premise arity and
+        # target attribute come from these lists.
         self.rules_by_lhs_attr: Dict[str, List[int]] = {}
         for idx, rule in enumerate(self.rules):
             for attr in rule.lhs_attrs():
                 self.rules_by_lhs_attr.setdefault(attr, []).append(idx)
+        self.lhs_arity: List[int] = [len(rule.lhs_attrs()) for rule in self.rules]
+        self.rhs_attrs: List[str] = [rule.rhs_attr() for rule in self.rules]
 
         self.md_indexes: Dict[int, MDBlockingIndex] = {}
         shared = shared_md_indexes or {}
@@ -199,20 +203,22 @@ class _CRepair:
     def update(self, t: CTuple, attr: str) -> None:
         tid = t.tid
         assert tid is not None
+        count = self.count
         for rule_idx in self.rules_by_lhs_attr.get(attr, ()):
-            rule = self.rules[rule_idx]
             key = (tid, rule_idx)
-            self.count[key] = self.count.get(key, 0) + 1
-            if self.count[key] == len(rule.lhs_attrs()):
+            asserted = count[key] = count.get(key, 0) + 1
+            if asserted == self.lhs_arity[rule_idx]:
                 if self.vindex is None or self.vindex.is_member(rule_idx, tid):
                     self._push(tid, rule_idx)
         # Variable CFDs t was waiting on whose RHS just became asserted:
         # t can now provide the group value.
-        for rule_idx in list(self.pending[tid]):
-            rule = self.rules[rule_idx]
-            if rule.rhs_attr() != attr:
+        pending = self.pending[tid]
+        if not pending:
+            return
+        for rule_idx in list(pending):
+            if self.rhs_attrs[rule_idx] != attr:
                 continue
-            self.pending[tid].discard(rule_idx)
+            pending.discard(rule_idx)
             entry = self._var_entry(rule_idx, t)
             if entry is not None and entry.val is None:
                 self._push(tid, rule_idx)
@@ -221,11 +227,18 @@ class _CRepair:
     # Procedures vCFDInfer / cCFDInfer / MDInfer — Fig. 5
     # ------------------------------------------------------------------
     def _var_entry(self, rule_idx: int, t: CTuple) -> Optional[_VarEntry]:
-        rule = self.rules[rule_idx]
-        assert isinstance(rule, VariableCFDRule)
-        if not rule.cfd.lhs_matches(t):
-            return None
-        key = t.project(rule.cfd.lhs)
+        if self.vindex is not None:
+            # The rule's group store already holds the interned LHS key
+            # of every pattern-matching tuple (its members).
+            key = self.vindex.partition(rule_idx).key_of.get(t.tid)
+            if key is None:
+                return None
+        else:
+            rule = self.rules[rule_idx]
+            assert isinstance(rule, VariableCFDRule)
+            if not rule.cfd.lhs_matches(t):
+                return None
+            key = t.project(rule.cfd.lhs)
         table = self.h_tables[rule_idx]
         entry = table.get(key)
         if entry is None:

@@ -41,7 +41,7 @@ from repro.core.fixes import Fix, FixKind, FixLog
 from repro.core.trace import RoundTrace
 from repro.indexing.blocking import MDBlockingIndex
 from repro.indexing.entropy_index import EntropyIndex
-from repro.indexing.group_store import GroupStoreRegistry, sort_key
+from repro.indexing.group_store import GroupStoreRegistry
 from repro.indexing.violation_index import ViolationIndex
 from repro.relational.attribute import cell_changed
 from repro.relational.relation import Relation
@@ -223,25 +223,21 @@ class _ERepair:
         if self.vindex is not None:
             dirty = set(self.vindex.pop_dirty_keys(rule_idx))
             candidates = [
-                (group.key, group.entropy)
-                for group in index.conflicting_groups()
+                (group.key, rank)
+                for rank, group in index.conflicting_entries()
                 if group.entropy < self.delta2 and group.key in dirty
             ]
         else:
             candidates = [
-                (group.key, group.entropy)
-                for group in index.conflicting_groups()
+                (group.key, rank)
+                for rank, group in index.conflicting_entries()
                 if group.entropy < self.delta2
             ]
-        for key, snapshot_entropy in candidates:
+        for key, rank in candidates:
             if self.trace is not None:
                 # The AVL ordering key at snapshot time — the content rank
                 # that positions this group among all shards' candidates.
-                self._token = (
-                    self.rounds,
-                    rule_idx,
-                    (snapshot_entropy, tuple(sort_key(v) for v in key)),
-                )
+                self._token = (self.rounds, rule_idx, rank)
             group = index.group(key)
             if group is None or group.entropy == 0.0:
                 continue  # already resolved as a side effect

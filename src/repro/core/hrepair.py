@@ -69,6 +69,15 @@ def _const(value: Any) -> Tuple[str, Any]:
     return ("const", value)
 
 
+def demanded_values(matched: Sequence[CTuple], master_attr: str) -> List[Any]:
+    """The distinct *master_attr* values the premise-satisfying master
+    tuples *matched* demand of an MD's target cell, ordered by ``repr``
+    (a single match demands its own value)."""
+    if len(matched) == 1:
+        return [matched[0][master_attr]]
+    return sorted({s[master_attr] for s in matched}, key=repr)
+
+
 @dataclass
 class HRepairResult:
     """Outcome of an ``hRepair`` run."""
@@ -672,9 +681,7 @@ class _HRepair:
             # All premise-satisfying master tuples place a demand on t[E];
             # a single match dictates a constant, conflicting matches are
             # resolved with null (which satisfies the null-tolerant check).
-            demanded = sorted(
-                {s[master_attr] for s in matches(t)}, key=repr
-            )
+            demanded = demanded_values(matches(t), master_attr)
             if not demanded:
                 continue
             current = t[rhs]

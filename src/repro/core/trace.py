@@ -24,15 +24,15 @@ interleaving without re-running any rule logic:
 * **eRepair / hRepair** (:class:`RoundTrace`) run fixpoint rounds over
   rules, draining per-rule work queues whose order is content-derived:
   ascending tid for per-tuple rules, the entropy-AVL key
-  ``(H, sort_key(ȳ))`` for eRepair's conflict groups, ascending smallest
-  member tid for hRepair's dirty partitions.  A shard stays active in
-  exactly the global rounds its own writes dirty (dirtiness never
-  crosses shards), so tagging every fix with ``(round, rule index,
-  candidate rank)`` makes the global order a stable sort of the
-  concatenated shard logs (:func:`merge_round_fixes`).  Candidate ranks
-  are unique across shards — tids are disjoint and equal group keys
-  imply the same shard — so ties only occur within one candidate of one
-  shard, where the recorded order is already correct.
+  ``(H, sort_key(ȳ), smallest member tid)`` for eRepair's conflict
+  groups, ascending smallest member tid for hRepair's dirty partitions.
+  A shard stays active in exactly the global rounds its own writes dirty
+  (dirtiness never crosses shards), so tagging every fix with ``(round,
+  rule index, candidate rank)`` makes the global order a stable sort of
+  the concatenated shard logs (:func:`merge_round_fixes`).  Candidate
+  ranks are unique across shards — each ends in a tid, and tids are
+  disjoint — so ties only occur within one candidate of one shard, where
+  the recorded order is already correct.
 
 Traces are opt-in (``trace=None`` keeps the phases on their zero-cost
 path) and are collected by :class:`~repro.pipeline.session.CleaningSession`

@@ -110,6 +110,7 @@ class MDBlockingIndex:
         if self.engine not in ("join", "reference"):
             raise ValueError(f"unknown match engine {self.engine!r}")
         self._eq_clauses = [c for c in md.premise if c.is_equality]
+        self._eq_attrs = tuple(c.attr for c in self._eq_clauses)
         self._sim_clauses = [c for c in md.premise if not c.is_equality]
         self._premise_attrs = tuple(dict.fromkeys(c.attr for c in md.premise))
         self._match_cache: Dict[Tuple[Any, ...], List[CTuple]] = {}
@@ -213,7 +214,7 @@ class MDBlockingIndex:
         """Master tuples worth verifying against *t* (superset of matches
         under the index's pruning guarantees)."""
         if self._exact is not None:
-            key = t.project([c.attr for c in self._eq_clauses])
+            key = t.project(self._eq_attrs)
             if any(is_null(v) for v in key):
                 return []
             bucket = self._exact.lookup(key)
@@ -366,10 +367,13 @@ class MDBlockingIndex:
         return hit
 
     def cached_find_match(self, t: CTuple) -> Optional[CTuple]:
-        """Memoized :meth:`find_match` (same deterministic witness)."""
+        """Memoized :meth:`find_match` (same deterministic witness; a
+        single match is its own minimum)."""
         matched = self.cached_matches(t)
         if not matched:
             return None
+        if len(matched) == 1:
+            return matched[0]
         return min(matched, key=lambda s: s.tid or 0)
 
     # ------------------------------------------------------------------

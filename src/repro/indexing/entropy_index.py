@@ -6,8 +6,8 @@ For a variable CFD ``φ = R(Y → B, tp)`` the structure keeps, per group
 * a hash-table entry ``HTab(ȳ) → (H(φ|Y=ȳ), |Δ(ȳ)|, {(b, cnt)}, {tids})``
   giving O(1) violation checks and entropy lookups, and
 * an AVL tree over groups with non-zero entropy, keyed by
-  ``(entropy, ȳ)``, giving O(log |T|) minimum-entropy retrieval and
-  maintenance after each fix.
+  ``(entropy, ȳ, smallest member tid)``, giving O(log |T|)
+  minimum-entropy retrieval and maintenance after each fix.
 
 The hash-table side now lives in a shared
 :class:`~repro.indexing.group_store.CFDGroupStore` — the same grouping
@@ -131,8 +131,15 @@ class EntropyIndex:
     # ------------------------------------------------------------------
     # AVL maintenance (entry-view hooks fired by the store)
     # ------------------------------------------------------------------
-    def _tree_key(self, group: GroupStats) -> Tuple[float, Tuple]:
-        return (group.entropy, tuple(_sort_key(v) for v in group.key))
+    def _tree_key(self, group: GroupStats) -> Tuple[float, Tuple, int]:
+        # The smallest member tid breaks ties between distinct keys whose
+        # sort keys coincide (two NaN objects print alike): unique per
+        # group and stable across processes.
+        return (
+            group.entropy,
+            tuple(_sort_key(v) for v in group.key),
+            min(group.tids),
+        )
 
     def _tree_insert(self, group: GroupStats) -> None:
         if group.entropy != 0.0:
@@ -219,7 +226,14 @@ class EntropyIndex:
 
     def conflicting_groups(self) -> List[GroupStats]:
         """Groups with non-zero entropy, in increasing entropy order."""
-        return [self._store.groups[group_key] for _key, group_key in self._tree.items()]
+        return [group for _rank, group in self.conflicting_entries()]
+
+    def conflicting_entries(self) -> List[Tuple[Tuple[float, Tuple, int], GroupStats]]:
+        """``(AVL key, group)`` for every group with non-zero entropy, in
+        increasing key order.  The key ``(H, sort_key(ȳ), min tid)`` is
+        the group's rank among eRepair's candidates."""
+        groups = self._store.groups
+        return [(rank, groups[group_key]) for rank, group_key in self._tree.items()]
 
     def is_clean(self) -> bool:
         """Whether no group has conflicting B values (``D ⊨ φ`` over the

@@ -306,7 +306,7 @@ class CFDGroupStore:
                             member = False
                             break
                 if member:
-                    key = intern_key(tuple(vals[r] for r in ref_tuple))
+                    key = intern_key(tuple(map(value_of, ref_tuple)))
                     group = groups.get(key)
                     if group is None:
                         group = groups[key] = GroupStats(key)

@@ -504,16 +504,29 @@ class CleaningSession:
         return snapshot.restore_session(path)
 
     def _rebuild_cell_costs(self) -> None:
-        """Full pass of the Section 3.1 cost model, kept per cell so
-        apply() can maintain the total under deltas."""
+        """The Section 3.1 cost model of a re-clean, kept per cell so
+        apply() can maintain the total under deltas.
+
+        The working relation is a fresh clone of the base and every phase
+        records a fix before it writes a cell, so only fix-log cells can
+        differ from the base.  Visiting just those, in base order and then
+        schema order, yields the entries — and the float sum — of a pass
+        over every cell."""
         assert self.base is not None and self.working is not None
+        touched: Dict[int, Set[str]] = {}
+        for tid, attr in self.fix_log.marked_cells():
+            touched.setdefault(tid, set()).add(attr)
         costs: Dict[Cell, float] = {}
-        names = self.base.schema.names
-        for t in self.base:
-            r = self.working.by_tid(t.tid)
+        base = self.base
+        working = self.working
+        names = base.schema.names
+        for tid in [tid for tid in base.tids() if tid in touched]:
+            attrs = touched[tid]
+            t = base.by_tid(tid)
+            r = working.by_tid(tid)
             for attr in names:
-                if cell_changed(t[attr], r[attr]):
-                    costs[(t.tid, attr)] = cell_cost(t[attr], r[attr], t.conf(attr))
+                if attr in attrs and cell_changed(t[attr], r[attr]):
+                    costs[(tid, attr)] = cell_cost(t[attr], r[attr], t.conf(attr))
         self._cell_costs = costs
 
     def _run_phases(

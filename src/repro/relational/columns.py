@@ -25,6 +25,8 @@ Layout of one :class:`ColumnStore` (one per columnar relation)::
     row_of       tid -> row; **survives** ``remove()`` — retired tids keep
                  resolving to their tombstoned row so delete observers can
                  still read the removed tuple's values
+    readers      attribute tuple -> compiled row reader behind
+                 ``ColumnTuple.project`` (column positions only)
 
 Rows are append-only; ``remove()`` tombstones (no compaction), which is
 what keeps the delete-observer contract — values stay readable after
@@ -372,6 +374,55 @@ def _row_picker(rows: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]
     return lambda seq: [seq[r] for r in rows]
 
 
+#: ``read(store, row)`` -> the row's values at fixed column positions.
+RowReader = Callable[["ColumnStore", int], Tuple[Any, ...]]
+
+
+def _compile_reader(positions: Tuple[int, ...]) -> RowReader:
+    """A reader of the values at column *positions*, specialised by arity.
+
+    It keeps the positions only: ``store.values[i].data`` and
+    ``store.table.values`` are read at call time, so a column widened by
+    :meth:`IntColumn._widen` or rebuilt by :meth:`ColumnStore.compact`
+    can never leave it stale.  Fixed arities unroll into one tuple
+    display, a few array loads where the generic decode pays a generator.
+    """
+    if len(positions) == 1:
+        (i,) = positions
+
+        def read(store: "ColumnStore", row: int) -> Tuple[Any, ...]:
+            return (store.table.values[store.values[i].data[row]],)
+
+    elif len(positions) == 2:
+        i, j = positions
+
+        def read(store: "ColumnStore", row: int) -> Tuple[Any, ...]:
+            values = store.table.values
+            cols = store.values
+            return (values[cols[i].data[row]], values[cols[j].data[row]])
+
+    elif len(positions) == 3:
+        i, j, k = positions
+
+        def read(store: "ColumnStore", row: int) -> Tuple[Any, ...]:
+            values = store.table.values
+            cols = store.values
+            return (
+                values[cols[i].data[row]],
+                values[cols[j].data[row]],
+                values[cols[k].data[row]],
+            )
+
+    else:
+
+        def read(store: "ColumnStore", row: int) -> Tuple[Any, ...]:
+            values = store.table.values
+            cols = store.values
+            return tuple([values[cols[i].data[row]] for i in positions])
+
+    return read
+
+
 # ----------------------------------------------------------------------
 # The per-relation store
 # ----------------------------------------------------------------------
@@ -388,7 +439,7 @@ class ColumnStore:
 
     __slots__ = (
         "schema", "table", "index_of", "values", "confs", "nulls",
-        "dead", "row_tids", "row_of", "n_dead", "shared",
+        "dead", "row_tids", "row_of", "n_dead", "shared", "readers",
     )
 
     def __init__(self, schema: Schema, table: Optional[ValueTable] = None):
@@ -413,6 +464,8 @@ class ColumnStore:
         #: tombstoned or compacted by any one owner: neither owner can
         #: know which rows the other still considers live.
         self.shared = False
+        #: attribute tuple -> compiled row reader (:meth:`reader`).
+        self.readers: Dict[Tuple[str, ...], RowReader] = {}
 
     # -- rows ----------------------------------------------------------
     def append_refs(
@@ -533,6 +586,21 @@ class ColumnStore:
         self.row_tids = dense.row_tids
         self.row_of = dense.row_of
         self.n_dead = 0
+
+    # -- row readers ---------------------------------------------------
+    def reader(self, attrs: Tuple[str, ...]) -> RowReader:
+        """The compiled reader of *attrs* (:func:`_compile_reader`), built
+        on first use; raises :class:`SchemaError` for an unknown name."""
+        read = self.readers.get(attrs)
+        if read is None:
+            try:
+                positions = tuple([self.index_of[a] for a in attrs])
+            except KeyError as exc:
+                raise SchemaError(
+                    f"schema {self.schema.name!r} has no attribute {exc.args[0]!r}"
+                ) from None
+            read = self.readers[attrs] = _compile_reader(positions)
+        return read
 
     # -- cells ---------------------------------------------------------
     def value_at(self, row: int, index: int) -> Any:
@@ -687,24 +755,12 @@ class ColumnTuple(CTuple):
     # -- projections ---------------------------------------------------
     def project(self, attrs: Sequence[str]) -> Tuple[Any, ...]:
         store = self._store
-        row = self._row
-        values = store.table.values
-        cols = store.values
-        try:
-            index_of = store.index_of
-            return tuple(values[cols[index_of[a]].data[row]] for a in attrs)
-        except KeyError as exc:
-            raise SchemaError(
-                f"schema {self.schema.name!r} has no attribute {exc.args[0]!r}"
-            ) from None
-
-    def project_refs(self, attrs: Sequence[str]) -> Tuple[int, ...]:
-        """The interned refs of *attrs* for this row (ref-level slice)."""
-        store = self._store
-        row = self._row
-        index_of = store.index_of
-        cols = store.values
-        return tuple(cols[index_of[a]].data[row] for a in attrs)
+        if attrs.__class__ is not tuple:
+            attrs = tuple(attrs)
+        read = store.readers.get(attrs)
+        if read is None:
+            read = store.reader(attrs)
+        return read(store, self._row)
 
     def project_conf(self, attrs: Sequence[str]) -> Tuple[Optional[float], ...]:
         return tuple(self.conf(a) for a in attrs)

@@ -18,10 +18,9 @@ with a clean observer list.
 Relations are **columnar-backed by default** (see
 :mod:`repro.relational.columns`): cells live in per-attribute interned
 ref columns and resident tuples are :class:`~repro.relational.columns.ColumnTuple`
-row-views, which keeps the whole tuple API intact while exposing bulk
-ref-level accessors (:meth:`Relation.column`, :meth:`Relation.rows_where`,
-:meth:`Relation.group_rows_by`, :meth:`Relation.project_refs`) to the
-vectorized check engine.  Pass ``columnar=False`` (or flip the
+row-views, which keeps the whole tuple API intact while exposing the
+ref column of an attribute (:meth:`Relation.column`) to the similarity
+join's index build.  Pass ``columnar=False`` (or flip the
 ``REPRO_COLUMNAR`` env default) to get the original dict-of-CTuple
 backing.
 """
@@ -630,124 +629,6 @@ class Relation:
         if rows is None:
             return list(data)
         return [data[row] for row in rows]
-
-    def project_refs(self, attrs: Sequence[str]) -> List[Tuple[int, ...]]:
-        """Ref tuples over *attrs*, aligned with :meth:`tids`."""
-        self.schema.check_attrs(attrs)
-        self._require_columns()
-        cols = self._value_columns(attrs)
-        tids, rows = self._live_rows()
-        if rows is None:
-            return list(zip(*cols)) if cols else [() for _ in tids]
-        return [tuple(col[row] for col in cols) for row in rows]
-
-    def rows_where(self, attr: str, value: Any) -> List[CTuple]:
-        """The resident tuples with ``t[attr] == value`` (insertion order).
-
-        Columnar relations resolve *value* to its canonical ref (without
-        interning it) and scan one int column; equality semantics are
-        identical to the per-tuple ``==`` scan.
-        """
-        self.schema.check_attrs([attr])
-        store = self._columns
-        if store is None:
-            return [t for t in self if t[attr] == value]
-        table = store.table
-        try:
-            wanted = table.find_canon(value)
-        except TypeError:  # unhashable probe: no ref shortcut possible
-            return [t for t in self if t[attr] == value]
-        if wanted is None:
-            return []
-        canon = table.canon
-        data = store.values[store.index_of[attr]].data
-        residents = list(self._tuples.values())
-        tids, rows = self._live_rows()
-        if rows is None:
-            return [
-                t for t, ref in zip(residents, data) if canon[ref] == wanted
-            ]
-        return [
-            t for t, row in zip(residents, rows) if canon[data[row]] == wanted
-        ]
-
-    def group_rows_by(self, attrs: Sequence[str]) -> Dict[Tuple[Any, ...], List[int]]:
-        """Member tids per distinct value tuple over *attrs* (both in
-        first-encounter order) — :meth:`group_by` at the tid level."""
-        self.schema.check_attrs(attrs)
-        store = self._columns
-        groups: Dict[Tuple[Any, ...], List[int]] = {}
-        if store is None:
-            for t in self:
-                groups.setdefault(t.project(attrs), []).append(t.tid)
-            return groups
-        values = store.table.values
-        cols = self._value_columns(attrs)
-        tids, rows = self._live_rows()
-        by_refs: Dict[Tuple[int, ...], List[int]] = {}
-        if rows is None:
-            packed = zip(tids, *cols)
-        else:
-            packed = (
-                (tid, *(col[row] for col in cols))
-                for tid, row in zip(tids, rows)
-            )
-        for item in packed:
-            tid = item[0]
-            refs = item[1:]
-            members = by_refs.get(refs)
-            if members is None:
-                key = tuple(values[r] for r in refs)
-                members = by_refs[refs] = groups.setdefault(key, [])
-            members.append(tid)
-        return groups
-
-    def value_refs(
-        self, attr: str, tids: Optional[Sequence[int]] = None
-    ) -> List[int]:
-        """Interned value refs of *attr* — aligned with :meth:`tids` when
-        *tids* is ``None``, else with the given tid sequence.
-
-        Explicit tids resolve rows through the resident tuples (not the
-        store's ``row_of`` map), so shared-store views and post-install
-        duplicates can never leak a stale row.
-        """
-        self.schema.check_attrs([attr])
-        store = self._require_columns()
-        data = store.values[store.index_of[attr]].data
-        if tids is None:
-            _, rows = self._live_rows()
-            if rows is None:
-                return list(data)
-            return [data[row] for row in rows]
-        tuples = self._tuples
-        return [data[tuples[tid]._row] for tid in tids]
-
-    def conf_refs(
-        self, attr: str, tids: Optional[Sequence[int]] = None
-    ) -> List[int]:
-        """Interned confidence refs of *attr* (same alignment contract
-        as :meth:`value_refs`)."""
-        self.schema.check_attrs([attr])
-        store = self._require_columns()
-        data = store.confs[store.index_of[attr]].data
-        if tids is None:
-            _, rows = self._live_rows()
-            if rows is None:
-                return list(data)
-            return [data[row] for row in rows]
-        tuples = self._tuples
-        return [data[tuples[tid]._row] for tid in tids]
-
-    def canon_refs(
-        self, attr: str, tids: Optional[Sequence[int]] = None
-    ) -> List[int]:
-        """Canonical value refs of *attr* — canon equality *is* ``==``
-        value equality (invariant 19), so two cells compare equal exactly
-        when their canon refs are the same int."""
-        store = self._require_columns()
-        canon = store.table.canon
-        return [canon[r] for r in self.value_refs(attr, tids)]
 
     # ------------------------------------------------------------------
     # Copying / comparison

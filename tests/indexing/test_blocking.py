@@ -4,11 +4,12 @@ import pytest
 
 from repro.constraints import MD
 from repro.core import UniCleanConfig
+from repro.core.hrepair import demanded_values
 from repro.datasets import generate_dblp
 from repro.indexing import ExactIndex, MDBlockingIndex, build_md_indexes
 from repro.pipeline import CleaningSession
-from repro.relational import NULL, Relation, Schema
-from repro.relational.columns import using_match_engine
+from repro.relational import CTuple, NULL, Relation, Schema
+from repro.relational.columns import using_backend, using_match_engine
 from repro.similarity import edit_within
 
 
@@ -226,3 +227,43 @@ class TestTopLDroppedMatchRegression:
         ]
         # the warmed cache answered without a new probe
         assert fresh.join_index.stats["probes"] == 0
+
+
+class TestMatchListShapes:
+    """The memoized lookups answer a one-element match list without the
+    ``min``/``sorted`` derivation; a longer list still takes it.  Master
+    rows are inserted out of tid order, so the bucket's first member is
+    not the smallest tid and its values are not in ``repr`` order."""
+
+    @pytest.fixture(params=[True, False], ids=["columnar", "dict"])
+    def setting(self, request):
+        data = Schema("D", ["k", "v"])
+        reference = Schema("Dm", ["k", "v"])
+        md = MD(data, reference, [("k", "k")], [("v", "v")], name="md_kv")
+        with using_backend(request.param):
+            master = Relation(reference)
+            for tid, k, v in [(5, "k1", "v2"), (2, "k1", "v1"), (7, "k2", "v3")]:
+                master.add(CTuple(reference, {"k": k, "v": v}, tid=tid))
+            probes = Relation.from_dicts(data, [{"k": "k1"}, {"k": "k2"}])
+        return md, master, probes
+
+    def test_cached_find_match_equals_find_match(self, setting):
+        md, master, probes = setting
+        index = MDBlockingIndex(md, master)
+        first, second = probes
+        assert [s.tid for s in index.cached_matches(first)] == [5, 2]
+        assert index.cached_find_match(first) is index.find_match(first)
+        assert index.cached_find_match(first).tid == 2
+        assert [s.tid for s in index.cached_matches(second)] == [7]
+        assert index.cached_find_match(second) is index.find_match(second)
+
+    def test_demanded_values_equal_the_sorted_set(self, setting):
+        md, master, probes = setting
+        index = MDBlockingIndex(md, master)
+        demanded = {}
+        for t in probes:
+            matched = index.cached_matches(t)
+            derived = sorted({s["v"] for s in matched}, key=repr)
+            assert demanded_values(matched, "v") == derived
+            demanded[t["k"]] = derived
+        assert demanded == {"k1": ["v1", "v2"], "k2": ["v3"]}

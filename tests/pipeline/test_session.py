@@ -6,10 +6,12 @@ import pytest
 
 from repro.constraints import CFD, MD
 from repro.core import UniClean, UniCleanConfig
+from repro.core.cost import cell_cost
 from repro.datasets import generate_partitioned, part_rules
 from repro.exceptions import DataError
 from repro.pipeline import Changeset, CleaningSession
-from repro.relational import Relation, Schema
+from repro.relational import CTuple, Relation, Schema
+from repro.relational.attribute import cell_changed
 from repro.relational.columns import using_backend
 
 SCHEMA = Schema("R", ["K", "A", "B"])
@@ -328,6 +330,75 @@ class TestNaNCost:
         assert not out.full_reclean
         assert out.cost == pytest.approx(0.2)
         assert (0, "x") not in session._cell_costs
+
+
+class TestCostRebuild:
+    """A re-clean charges only fix-log cells, yet its cost map equals a
+    walk of every base cell: same entries, same order, same float sum
+    (invariant 40)."""
+
+    SCHEMA = Schema("V", ["a", "b", "c"])
+    MASTER = Schema("Vm", ["a", "b"])
+    NAN = float("nan")
+
+    def _session(self, columnar):
+        schema, nan = self.SCHEMA, self.NAN
+        rows = [
+            ("j", nan, "z"), ("k", nan, "x"), ("j", nan, "y"), ("j", "x", "z"),
+            ("j", nan, "z"), ("j", nan, "x"), ("q", nan, "w"),
+        ]
+        confs = [
+            (1.0, 0.5, None), (None, 1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 0.5, None),
+            (None, 0.5, None), (1.0, 1.0, 0.5), (None, None, None),
+        ]
+        with using_backend(columnar):
+            relation = Relation(schema)
+            # Base order is not tid order: the cost map follows the base.
+            for tid in reversed(range(len(rows))):
+                relation.add(
+                    CTuple(
+                        schema,
+                        dict(zip(schema.names, rows[tid])),
+                        dict(zip(schema.names, confs[tid])),
+                        tid=tid,
+                    )
+                )
+            master = Relation.from_dicts(self.MASTER, [{"a": "k", "b": "x"}])
+        session = CleaningSession(
+            cfds=[
+                CFD(schema, ["a"], ["b"], name="fd_ab"),
+                CFD(schema, ["c"], ["b"], name="fd_cb"),
+            ],
+            mds=[MD(schema, self.MASTER, [("a", "a")], [("b", "b")], name="md")],
+            master=master,
+            config=UniCleanConfig(eta=1.0),
+        )
+        return session, session.clean(relation)
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_cost_map_equals_a_walk_of_every_base_cell(self, columnar):
+        session, result = self._session(columnar)
+        base, working = session.base, session.working
+        walk = {
+            (t.tid, a): cell_cost(t[a], working.by_tid(t.tid)[a], t.conf(a))
+            for t in base
+            for a in base.schema.names
+            if cell_changed(t[a], working.by_tid(t.tid)[a])
+        }
+        assert list(session._cell_costs.items()) == list(walk.items())
+        assert result.cost == sum(walk.values())
+        # eRepair moves (3, b) off its base value and hRepair moves it
+        # back: a fix-log cell without a cost entry.
+        assert [f.kind.value for f in result.fix_log if f.cell == (3, "b")] == [
+            "reliable", "possible",
+        ]
+        assert working.by_tid(3)["b"] == base.by_tid(3)["b"]
+        assert (3, "b") not in session._cell_costs
+        # NaN cells: the repaired ones are charged, the untouched one
+        # (its own NaN object on both sides) is not.
+        assert (0, "b") in session._cell_costs
+        assert working.by_tid(6)["b"] is base.by_tid(6)["b"]
+        assert (6, "b") not in session._cell_costs
 
 
 class TestUniCleanWrapper:

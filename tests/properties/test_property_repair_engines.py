@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.consistency import relation_violations
 from repro.constraints import CFD, MD
-from repro.core import UniCleanConfig
+from repro.core import UniClean, UniCleanConfig
 from repro.evaluation import generate
 from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
@@ -236,6 +236,13 @@ master_rows = st.lists(
 )
 
 
+#: CFD ``c -> b`` over two conflicting groups keyed by distinct NaNs.
+NAN_GROUP_ROWS = [
+    ("k", "x", NAN, None), ("k", "y", NAN, None),
+    ("k", "x", OTHER_NAN, None), ("k", "y", OTHER_NAN, None),
+]
+
+
 def _value_rules(names, constant):
     cfds = []
     if "fd_ab" in names:
@@ -313,6 +320,8 @@ class TestValueDomain:
     # -0.0 keeps its sign on the columnar backend.
     @example([(0.0, "x", "x", None), (-0.0, "x", "x", None)], ["fd_ab"],
              ("k", "x"), [("k", "x")])
+    # Two c -> b groups keyed by distinct NaN objects (see below).
+    @example(NAN_GROUP_ROWS, ["fd_cb"], ("k", "x"), [("k", "x")])
     def test_columnar_matches_dict_oracle(self, rows, names, constant, master):
         results = {
             name: _value_observables(rows, names, constant, master, columnar)
@@ -322,3 +331,19 @@ class TestValueDomain:
             assert results["columnar"][key] == expected, (
                 f"columnar diverged from dict on {key}"
             )
+
+    def test_distinct_nan_group_keys_clean(self):
+        """Two variable-CFD groups whose keys are distinct NaN objects
+        print alike; the entropy tree tells them apart by their smallest
+        member tid instead of raising a duplicate key."""
+        cfds, mds = _value_rules(["fd_cb"], ("k", "x"))
+        logs = {}
+        for name, columnar in BACKENDS.items():
+            with using_backend(columnar):
+                relation = Relation(V_SCHEMA)
+                for a, b, c, _conf in NAN_GROUP_ROWS:
+                    relation.add_row({"a": a, "b": b, "c": c})
+                result = UniClean(cfds=cfds, mds=mds).clean(relation)
+            logs[name] = _fingerprint(result.fix_log, _show)
+        assert logs["columnar"] == logs["dict"]
+        assert logs["dict"]  # both groups conflict and get repaired

@@ -3,13 +3,15 @@
 Covers the interning table (canon semantics), the typed-column and
 bitmap primitives, the per-relation :class:`ColumnStore` bookkeeping
 (append / tombstone / adopt), the :class:`ColumnTuple` row-view API
-against the dict-backed :class:`CTuple` reference, and the bulk
-ref-level accessors on :class:`Relation`.
+against the dict-backed :class:`CTuple` reference, its compiled row
+readers, and the bulk ref-level accessors on :class:`Relation`.
 """
 
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DataError, SchemaError
 from repro.relational import CTuple, NULL, Relation, Schema
@@ -301,10 +303,6 @@ class TestColumnTuple:
         t = rel.by_tid(0)
         assert t.project(["B", "A"]) == ("b1", "a1")
         assert t.project_conf(["A", "B"]) == (0.9, None)
-        refs = t.project_refs(["A", "B"])
-        assert all(isinstance(r, int) for r in refs)
-        table = rel.value_table
-        assert tuple(table.values[r] for r in refs) == ("a1", "b1")
 
     def test_has_conf_at_least(self, rel):
         t = rel.by_tid(0)
@@ -447,31 +445,6 @@ class TestBulkAccessors:
         table = rel.value_table
         assert [table.values[r] for r in refs] == ["a1", "a2"]
 
-    def test_project_refs(self, rel):
-        table = rel.value_table
-        ref_rows = rel.project_refs(["A", "C"])
-        assert [
-            tuple(table.values[r] for r in refs) for refs in ref_rows
-        ] == [t.project(["A", "C"]) for t in rel]
-
-    def test_rows_where_matches_select(self, rel):
-        assert rel.rows_where("A", "a1") == rel.select(lambda t: t["A"] == "a1")
-        assert rel.rows_where("A", "nowhere") == []
-        # == semantics across types, exactly like the per-tuple scan
-        assert rel.rows_where("C", 1.0) == rel.select(lambda t: t["C"] == 1.0)
-
-    def test_rows_where_unhashable_probe_falls_back(self, rel):
-        assert rel.rows_where("A", ["un", "hashable"]) == []
-
-    def test_group_rows_by_matches_group_by(self, rel):
-        by_tid = rel.group_rows_by(["A"])
-        by_tuple = {
-            key: [t.tid for t in members]
-            for key, members in rel.group_by(["A"]).items()
-        }
-        assert by_tid == by_tuple
-        assert list(by_tid) == list(by_tuple)  # first-encounter order
-
     def test_bulk_accessors_require_columns(self, schema):
         with using_backend(True):
             columnar = Relation.from_dicts(schema, [{"A": "x"}])
@@ -479,8 +452,6 @@ class TestBulkAccessors:
         flat_dict.add_row({"A": "x"})
         with pytest.raises(DataError):
             flat_dict.column("A")
-        with pytest.raises(DataError):
-            flat_dict.project_refs(["A"])
         assert columnar.column("A")
 
     def test_algebra_matches_dict_backend(self, schema):
@@ -516,6 +487,94 @@ class TestBulkAccessors:
         assert [repr(t["a"]) for t in rel] == ["0.0", "-0.0"]
         # -0.0 == 0.0, so rewriting one zero as the other is no change.
         assert not rel.set_value(rel.by_tid(0), "a", -0.0)
+
+
+READER_NAMES = ["A", "B", "C", "D"]
+NAN = float("nan")
+reader_cells = st.sampled_from(["x", "y", "ünï", 0, 0.0, -0.0, False, 7, NAN, NULL])
+
+
+def _private_relation(rows):
+    """A columnar relation over a private value table: its refs stay
+    below 256, so every column starts one byte wide."""
+    with using_backend(True):
+        relation = Relation(Schema("W", READER_NAMES))
+    relation._columns = ColumnStore(relation.schema, ValueTable())
+    for row in rows:
+        relation.add_row(dict(zip(READER_NAMES, row)))
+    return relation
+
+
+def _decode(t, attrs):
+    """The per-attribute decode the compiled readers must reproduce."""
+    store = t._store
+    return tuple(
+        store.table.values[store.values[store.index_of[a]].data[t._row]]
+        for a in attrs
+    )
+
+
+def _same(left, right):
+    """Element identity: the reader hands out the table-resident objects
+    (which also tells ``0``, ``0.0``, ``-0.0`` and ``False`` apart)."""
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+class TestRowReaders:
+    """``ColumnTuple.project`` compiles one reader per column store and
+    attribute tuple; it reads the columns at call time, so it equals the
+    per-attribute decode in every store state (invariant 39)."""
+
+    @given(
+        rows=st.lists(st.tuples(*[reader_cells] * 4), min_size=2, max_size=8),
+        attrs=st.lists(st.sampled_from(READER_NAMES), max_size=5),
+        as_list=st.booleans(),
+        state=st.sampled_from(["dense", "tombstoned", "compacted", "shared"]),
+        target=st.sampled_from(READER_NAMES),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reader_equals_decode(self, rows, attrs, as_list, state, target):
+        relation = _private_relation(rows)
+        tids = list(relation.tids())
+        if state in ("tombstoned", "compacted"):
+            for tid in tids[::2]:
+                relation.remove(tid)
+            if state == "compacted":
+                assert relation.compact(force=True)
+        elif state == "shared":
+            relation = relation.restrict(tids[1:], copy=False)
+            assert relation.column_store.shared
+        store = relation.column_store
+        key = tuple(attrs)
+        probe = list(attrs) if as_list else key
+        for t in relation:
+            assert _same(t.project(probe), _decode(t, attrs))
+        read = store.readers[key]
+        # A ref past the one-byte range widens the written column in
+        # place of its array; the cached reader must see the new array.
+        column = store.values[store.index_of[target]]
+        assert column.typecode == "B"
+        for i in range(300):
+            store.table.ref(f"pad{i}")
+        t = next(iter(relation))
+        relation.set_value(t, target, "wide")
+        assert column.typecode == "H"
+        assert store.readers[key] is read
+        for t in relation:
+            assert _same(t.project(probe), _decode(t, attrs))
+
+    def test_list_and_tuple_share_one_reader(self, rel):
+        t = rel.by_tid(0)
+        assert t.project(["B", "A"]) == t.project(("B", "A")) == ("b1", "a1")
+        assert list(rel.column_store.readers) == [("B", "A")]
+
+    def test_unknown_attribute_raises_schema_error(self, rel):
+        t = rel.by_tid(0)
+        for attrs in (["missing"], ("A", "missing"), ("A", "B", "C", "missing")):
+            with pytest.raises(SchemaError, match="missing"):
+                t.project(attrs)
+        assert not rel.column_store.readers
+        assert t.project([]) == ()
 
 
 class TestCompaction:
