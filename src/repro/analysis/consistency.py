@@ -277,7 +277,9 @@ def relation_is_clean(
     CFD checks run over LHS partitions (one scan for all rules, or none
     when a maintained *violation_index* is supplied) and MD checks reuse
     *md_indexes* (rule name → blocking index) instead of rebuilding
-    master-side structures.
+    master-side structures.  Normalized MDs that share a premise are
+    checked together: each tuple's match list is looked up once and every
+    sibling's RHS pair is compared against it.
     """
     from repro.indexing.blocking import MDBlockingIndex
 
@@ -287,34 +289,42 @@ def relation_is_clean(
         return False
     if master is not None:
         shared = md_indexes or {}
+        siblings: Dict[Tuple[Any, ...], List[MD]] = {}
         for md in mds:
             for normalized in md.normalize():
-                rhs, master_attr = normalized.rhs_pair
-                bindex = shared.get(normalized.name)
-                if bindex is None or not bindex.is_exact:
-                    # A satisfaction verdict must stay exhaustive.
-                    # Equality blocking and the join engine are lossless
-                    # (is_exact), so their shared repair-time indexes are
-                    # reused as-is; only the reference engine's top-l
-                    # suffix-tree retrieval forces a fresh full-candidate
-                    # index here.
-                    bindex = MDBlockingIndex(
-                        normalized, master, use_suffix_tree=False
-                    )
-                data_side = (
-                    relation
-                    if only_tids is None
-                    else [
-                        relation.by_tid(tid)
-                        for tid in only_tids
-                        if relation.has_tid(tid)
-                    ]
+                siblings.setdefault(tuple(normalized.premise), []).append(
+                    normalized
                 )
-                for t in data_side:
-                    if is_null(t[rhs]):
+        data_side = (
+            relation
+            if only_tids is None
+            else [
+                relation.by_tid(tid)
+                for tid in only_tids
+                if relation.has_tid(tid)
+            ]
+        )
+        for group in siblings.values():
+            bindex = shared.get(group[0].name)
+            if bindex is None or not bindex.is_exact:
+                # A satisfaction verdict must stay exhaustive.  Equality
+                # blocking and the join engine are lossless (is_exact),
+                # so their shared repair-time indexes are reused as-is;
+                # only the reference engine's top-l suffix-tree retrieval
+                # forces a fresh full-candidate index here, one per
+                # premise.
+                bindex = MDBlockingIndex(group[0], master, use_suffix_tree=False)
+            pairs = [md.rhs_pair for md in group]
+            for t in data_side:
+                matched = None
+                for rhs, master_attr in pairs:
+                    value = t[rhs]
+                    if is_null(value):
                         continue  # null counts as identified (Section 7)
-                    for s in bindex.cached_matches(t):
-                        if t[rhs] != s[master_attr]:
+                    if matched is None:
+                        matched = bindex.cached_matches(t)
+                    for s in matched:
+                        if value != s[master_attr]:
                             return False
     return True
 

@@ -14,8 +14,12 @@ l ≤ 20 typically suffices") using two complementary indexes:
 :class:`MDBlockingIndex` combines both: when the MD has equality premise
 clauses the (small) exact bucket is scanned and every clause verified —
 after a lossless q-gram signature test drops the members that provably
-fail an edit-budget clause; otherwise similarity candidates seed the
-scan.  The similarity side is engine-switched (``REPRO_MATCH_ENGINE``):
+fail an edit-budget clause (each bucket keeps its members' signatures,
+built on its first probe); otherwise similarity candidates seed the
+scan.  :func:`build_md_indexes` builds one index per distinct premise:
+the normalized siblings of a multi-RHS MD share its exact index, match
+cache and signatures.  The similarity side is engine-switched
+(``REPRO_MATCH_ENGINE``):
 
 * ``join`` (default) — the filtered inverted-index similarity join of
   :mod:`repro.matching.simjoin`: length/prefix/count filters over a
@@ -41,7 +45,10 @@ from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 from repro.indexing.suffix_tree import GeneralizedSuffixTree
 from repro.similarity.predicates import EDIT_FILTER_Q, _as_str
-from repro.similarity.qgrams import edit_signature_admits, qgram_signature
+from repro.similarity.qgrams import GramBits
+
+#: A bucket member with the text and q-gram signature of one attribute.
+SigEntry = Tuple[CTuple, str, int]
 
 
 class ExactIndex:
@@ -74,7 +81,11 @@ class ExactIndex:
 
 
 class MDBlockingIndex:
-    """Candidate retrieval for one normalized MD against fixed master data.
+    """Candidate retrieval for one MD premise against fixed master data.
+
+    Only the premise is read, so every MD with the same premise can share
+    one index (:func:`build_md_indexes`); callers take the RHS from their
+    own rule.
 
     Parameters
     ----------
@@ -129,8 +140,12 @@ class MDBlockingIndex:
             if use_suffix_tree
             else []
         )
-        #: Signature of each distinct master value the filter has met.
-        self._master_sigs: Dict[str, int] = {}
+        #: Equality key -> per edit clause, the bucket's non-null members
+        #: as ``(member, text, signature)`` in bucket order; built on the
+        #: bucket's first probe (master data is immutable).
+        self._bucket_sigs: Dict[Tuple[Any, ...], List[List[SigEntry]]] = {}
+        #: Signature bit of each q-gram met so far (probes and members).
+        self._gram_bits = GramBits(EDIT_FILTER_Q)
         # One suffix tree per similarity-compared master attribute that has
         # a usable edit budget; built lazily only when needed.
         self._trees: Dict[str, GeneralizedSuffixTree] = {}
@@ -219,7 +234,7 @@ class MDBlockingIndex:
                 return []
             bucket = self._exact.lookup(key)
             if bucket and self._edit_clauses:
-                return self._signature_filter(t, bucket)
+                return self._signature_filter(t, key, bucket)
             return bucket
         if self.join_index is not None:
             value = t[self._join_clause.attr]
@@ -247,42 +262,66 @@ class MDBlockingIndex:
                 return out
         return self.master.tuples()
 
-    def _signature_filter(self, t: CTuple, bucket: List[CTuple]) -> List[CTuple]:
-        """The members of *bucket* whose q-gram signatures admit every
-        edit-budget clause against *t*, in bucket order.
+    def _signature_filter(
+        self, t: CTuple, key: Tuple[Any, ...], bucket: List[CTuple]
+    ) -> List[CTuple]:
+        """The members of *bucket* (the equality bucket of *key*) whose
+        q-gram signatures admit every edit-budget clause against *t*, in
+        bucket order.
 
         :func:`~repro.similarity.qgrams.edit_signature_admits` is a
         necessary condition of ``edit_distance <= k`` and null values
         fail every predicate, so every dropped member provably fails the
         premise and the result still holds all of the bucket's matches.
+        A probe costs one signature plus two popcounts per member: the
+        members' texts and signatures stay with the bucket.
         """
-        sigs = self._master_sigs
-        for clause in self._edit_clauses:
+        per_clause = self._bucket_sigs.get(key)
+        if per_clause is None:
+            per_clause = self._bucket_sigs[key] = [
+                self._member_sigs(bucket, clause.master_attr)
+                for clause in self._edit_clauses
+            ]
+        kept = bucket
+        for clause, members in zip(self._edit_clauses, per_clause):
             value = t[clause.attr]
             if is_null(value):
                 return []
             probe_text = _as_str(value)
             probe: Optional[int] = None
-            budget = clause.predicate.edit_budget
-            kept: List[CTuple] = []
-            for s in bucket:
-                master_value = s[clause.master_attr]
-                if is_null(master_value):
+            limit = clause.predicate.edit_budget * EDIT_FILTER_Q
+            alive = None if kept is bucket else {id(s) for s in kept}
+            kept = []
+            for s, text, sig in members:
+                if alive is not None and id(s) not in alive:
                     continue
-                text = _as_str(master_value)
                 # Equal strings are within any budget: no signature needed
                 # (often the whole bucket, when the probe is a clean copy).
                 if text != probe_text:
                     if probe is None:
-                        probe = qgram_signature(probe_text, EDIT_FILTER_Q)
-                    sig = sigs.get(text)
-                    if sig is None:
-                        sig = sigs[text] = qgram_signature(text, EDIT_FILTER_Q)
-                    if not edit_signature_admits(probe, sig, budget, EDIT_FILTER_Q):
+                        probe = self._gram_bits.signature(probe_text)
+                    # edit_signature_admits, inlined on the hot loop.
+                    if (
+                        (probe & ~sig).bit_count() > limit
+                        or (sig & ~probe).bit_count() > limit
+                    ):
                         continue
                 kept.append(s)
-            bucket = kept
-        return bucket
+        return kept
+
+    def _member_sigs(
+        self, bucket: List[CTuple], master_attr: str
+    ) -> List[SigEntry]:
+        """``(member, text, signature)`` of the bucket's members whose
+        *master_attr* is not null, in bucket order."""
+        sign = self._gram_bits.signature
+        out: List[SigEntry] = []
+        for s in bucket:
+            value = s[master_attr]
+            if not is_null(value):
+                text = _as_str(value)
+                out.append((s, text, sign(text)))
+        return out
 
     def _join_matches(self, t: CTuple) -> List[CTuple]:
         """Join-engine ``matches()``: the driving predicate is verified
@@ -415,15 +454,26 @@ def build_md_indexes(
     use_suffix_tree: bool = True,
     engine: Optional[str] = None,
 ) -> Dict[str, MDBlockingIndex]:
-    """Build one :class:`MDBlockingIndex` per normalized MD, keyed by name."""
+    """Map every normalized MD's name to the :class:`MDBlockingIndex` of
+    its premise.
+
+    One index is built per distinct premise (``tuple(md.premise)``): the
+    normalized siblings of a multi-RHS MD resolve to the same object, so
+    each distinct premise projection is verified once for all of them.
+    """
     out: Dict[str, MDBlockingIndex] = {}
+    by_premise: Dict[Tuple[Any, ...], MDBlockingIndex] = {}
     for md in mds:
         for normalized in md.normalize():
-            out[normalized.name] = MDBlockingIndex(
-                normalized,
-                master,
-                top_l=top_l,
-                use_suffix_tree=use_suffix_tree,
-                engine=engine,
-            )
+            premise = tuple(normalized.premise)
+            index = by_premise.get(premise)
+            if index is None:
+                index = by_premise[premise] = MDBlockingIndex(
+                    normalized,
+                    master,
+                    top_l=top_l,
+                    use_suffix_tree=use_suffix_tree,
+                    engine=engine,
+                )
+            out[normalized.name] = index
     return out

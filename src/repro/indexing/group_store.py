@@ -40,7 +40,7 @@ from repro.relational.tuples import CTuple
 Key = Tuple[Any, ...]
 
 #: Cache sentinel distinct from every legitimate membership entry
-#: (``None`` is a real MD pseudo-key, ``False`` a real non-member mark).
+#: (``False`` is a real non-member mark).
 _MISSING = object()
 
 ChangeListener = Callable[[CTuple, Optional[Key], Optional[Key]], None]
@@ -469,28 +469,23 @@ class CFDGroupStore:
 
 
 class MDGroupStore:
-    """Data-side groups of one MD spec by equality blocking key.
+    """Data-side membership of one MD scope: the live tids, plus change
+    routing for the scope attributes.
 
-    Every tuple is tracked (a similarity-only premise can match any
-    tuple); tuples with a null in the blocking key get the ``None``
-    pseudo-key — they can never satisfy an equality premise but a later
-    update may move them into a real partition.  Change listeners fire
-    for *every* scope-attribute change (an MD check is per-tuple, so the
-    tuple is dirty even when its blocking key did not move).
+    Every tuple is a member (an MD check is per tuple, and a
+    similarity-only premise can match any tuple), so the store keeps no
+    grouping: master data is immutable and the blocking indexes own the
+    premise side.  Change listeners fire for *every* scope-attribute
+    change, insert and delete, with both keys ``None`` (the tuple is
+    dirty whatever moved).
     """
 
-    __slots__ = ("md", "key_attrs", "_scope", "groups", "key_of",
-                 "_interned", "change_listeners")
+    __slots__ = ("md", "_scope", "tids", "change_listeners")
 
     def __init__(self, md: Any):
         self.md = md
-        self.key_attrs: Tuple[str, ...] = md.blocking_key_attrs()
         self._scope = frozenset(md.scope_attrs())
-        self.groups: Dict[Optional[Key], Set[int]] = {}
-        self.key_of: Dict[int, Optional[Key]] = {}
-        #: Canonical instance per distinct blocking key (same hot-loop
-        #: rationale as ``CFDGroupStore._interned``).
-        self._interned: Dict[Key, Key] = {}
+        self.tids: Set[int] = set()
         self.change_listeners: List[ChangeListener] = []
 
     def scope_attrs(self) -> Tuple[str, ...]:
@@ -499,121 +494,35 @@ class MDGroupStore:
     def relevant(self, attr: str) -> bool:
         return attr in self._scope
 
-    def _key(self, t: CTuple) -> Optional[Key]:
-        if not self.key_attrs:
-            return ()
-        key = t.project(self.key_attrs)
-        if t.has_null(self.key_attrs):
-            return None
-        return self._interned.setdefault(key, key)
-
     def build(self, relation: Relation) -> None:
-        self.groups.clear()
-        self.key_of.clear()
-        self._interned.clear()
+        self.tids.clear()
         self.bulk_index(relation)
 
     def bulk_index(self, relation: Relation) -> None:
-        """Index every tuple of *relation* (columnar array scan when the
-        relation is column-backed)."""
-        if relation.column_store is not None:
-            self._bulk_index_columnar(relation)
-        else:
-            for t in relation:
-                self.index_tuple(t)
-
-    def _bulk_index_columnar(self, relation: Relation) -> None:
-        """The MD analog of :meth:`CFDGroupStore._bulk_index_columnar`:
-        null detection and key interning happen once per distinct
-        blocking-key ref combination (``None`` pseudo-key for rows with a
-        null in the key, ``()`` when the MD has no equality premise),
-        with the member set's ``add`` pre-bound in the cache entry."""
-        store = relation.column_store
-        table = store.table
-        vals = table.values
-        canon = table.canon
-        null_c = table.null_canon
-        groups = self.groups
-        key_of = self.key_of
-        tids, rows = relation._live_rows()
-        if not self.key_attrs:
-            groups.setdefault((), set()).update(tids)
-            key_of.update(dict.fromkeys(tids, ()))
-            return
-        interned = self._interned
-        key_cols = [store.values[store.index_of[a]].data for a in self.key_attrs]
-        single = len(key_cols) == 1
-        cache: Dict[Any, Any] = {}
-        if rows is None:
-            key_iter = key_cols[0] if single else zip(*key_cols)
-            packed = zip(key_iter, tids)
-        elif single:
-            col0 = key_cols[0]
-            packed = ((col0[row], tid) for tid, row in zip(tids, rows))
-        else:
-            packed = (
-                (tuple(col[row] for col in key_cols), tid)
-                for tid, row in zip(tids, rows)
-            )
-        for refs, tid in packed:
-            entry = cache.get(refs, _MISSING)
-            if entry is _MISSING:
-                ref_tuple = (refs,) if single else refs
-                if any(canon[r] == null_c for r in ref_tuple):
-                    key = None
-                else:
-                    key_tuple = tuple(vals[r] for r in ref_tuple)
-                    key = interned.setdefault(key_tuple, key_tuple)
-                members = groups.get(key)
-                if members is None:
-                    members = groups[key] = set()
-                entry = cache[refs] = (key, members.add)
-            key, add_tid = entry
-            add_tid(tid)
-            key_of[tid] = key
+        """Index every tuple of *relation*."""
+        self.tids.update(relation.tids())
 
     def index_tuple(self, t: CTuple) -> None:
-        key = self._key(t)
-        self.groups.setdefault(key, set()).add(t.tid)
-        self.key_of[t.tid] = key
+        self.tids.add(t.tid)
+
+    def _notify(self, t: CTuple) -> None:
+        for listener in self.change_listeners:
+            listener(t, None, None)
 
     def on_cell_changed(self, t: CTuple, attr: str, old: Any, new: Any) -> None:
-        if not self.relevant(attr):
-            return
-        tid = t.tid
-        old_key = self.key_of.get(tid)
-        new_key = self._key(t)
-        if new_key != old_key:
-            group = self.groups.get(old_key)
-            if group is not None:
-                group.discard(tid)
-                if not group:
-                    del self.groups[old_key]
-            self.groups.setdefault(new_key, set()).add(tid)
-            self.key_of[tid] = new_key
-        for listener in self.change_listeners:
-            listener(t, old_key, new_key)
+        if self.relevant(attr):
+            self._notify(t)
 
     def on_insert(self, t: CTuple) -> None:
-        self.index_tuple(t)
-        for listener in self.change_listeners:
-            listener(t, None, self.key_of[t.tid])
+        self.tids.add(t.tid)
+        self._notify(t)
 
     def on_delete(self, t: CTuple) -> None:
-        tid = t.tid
-        old_key = self.key_of.pop(tid, None)
-        group = self.groups.get(old_key)
-        if group is not None:
-            group.discard(tid)
-            if not group:
-                del self.groups[old_key]
-        for listener in self.change_listeners:
-            listener(t, old_key, None)
+        self.tids.discard(t.tid)
+        self._notify(t)
 
     def check_against(self, relation: Relation) -> None:
-        rebuilt = MDGroupStore(self.md)
-        rebuilt.build(relation)
-        if rebuilt.groups != self.groups or rebuilt.key_of != self.key_of:
+        if self.tids != set(relation.tids()):
             raise AssertionError(
                 f"MD group store for {self.md.name} diverges from relation state"
             )
@@ -667,7 +576,7 @@ class GroupStoreRegistry:
 
     @staticmethod
     def md_spec(md: Any) -> Tuple:
-        return ("md", md.blocking_key_attrs(), tuple(sorted(md.scope_attrs())))
+        return ("md", tuple(sorted(md.scope_attrs())))
 
     # ------------------------------------------------------------------
     # Store retrieval (create + build on demand)
@@ -724,7 +633,7 @@ class GroupStoreRegistry:
                 # (C-speed zips + per-distinct-key caching) instead of
                 # sharing one per-tuple walk.
                 for store in fresh:
-                    store._bulk_index_columnar(self.relation)
+                    store.bulk_index(self.relation)
             else:
                 for t in self.relation:
                     for store in fresh:

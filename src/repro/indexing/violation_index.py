@@ -19,9 +19,10 @@ Partition state lives in shared group stores
   (re)checking.  The *same* store backs the
   :class:`~repro.indexing.entropy_index.EntropyIndex` of the CFD, so a
   cell change walks the grouping once for both consumers.
-* **MD rule** — an :class:`MDGroupStore` over the data side, partitioned
-  by the equality blocking key (``MD.blocking_key_attrs``); master data
-  is immutable, so only data-side dirtiness matters.
+* **MD rule** — an :class:`MDGroupStore` over the data side: the live
+  tids and the scope-attribute changes that dirty them (checks are per
+  tuple, so there is nothing to group); master data is immutable, so
+  only data-side dirtiness matters.
 
 Dirtiness (the work queue):
 
@@ -299,7 +300,7 @@ class ViolationIndex:
             if part is not None:
                 self._dirty_tids[idx].update(part.key_of)
             else:
-                self._dirty_tids[idx].update(self._md_parts[idx].key_of)
+                self._dirty_tids[idx].update(self._md_parts[idx].tids)
 
     def mark_scope_dirty(self, tids: Sequence[int]) -> None:
         """Queue only the given tuples (and their partitions) — the seed of
@@ -385,18 +386,15 @@ class ViolationIndex:
         return tid in part.key_of
 
     def members(self, idx: int, key: Key) -> List[int]:
-        """Sorted member tids of partition *key* of rule *idx*."""
-        part = self._cfd_parts.get(idx)
-        if part is not None:
-            return sorted(part.tids_of(key))
-        return sorted(self._md_parts[idx].groups.get(key, ()))
+        """Sorted member tids of partition *key* of CFD rule *idx*."""
+        return sorted(self._cfd_parts[idx].tids_of(key))
 
     def member_tids(self, idx: int) -> List[int]:
         """Sorted tids of all members of rule *idx*."""
         part = self._cfd_parts.get(idx)
         if part is not None:
             return sorted(part.key_of)
-        return sorted(self._md_parts[idx].key_of)
+        return sorted(self._md_parts[idx].tids)
 
     def iter_groups(self, idx: int) -> Iterator[Tuple[Key, List[int]]]:
         """All ``(key, sorted member tids)`` of a CFD rule, ordered by

@@ -21,8 +21,8 @@ This module replaces that with the classic filtered inverted-index join
 3. **count filter** — surviving ``(probe, group)`` pairs are checked
    with a sorted-merge overlap count that aborts early once the
    remaining tokens cannot reach the required bound;
-4. **verify** — survivors are confirmed with the exact predicate (banded
-   edit distance), or, for Jaccard, with exact set arithmetic over the
+4. **verify** — survivors are confirmed with the exact predicate (thresholded
+   bit-parallel edit distance), or, for Jaccard, with exact set arithmetic over the
    already-tokenized profiles — no re-tokenization, no approximation.
 
 Every filter is an upper bound a true match cannot violate, so the
@@ -198,14 +198,10 @@ class QGramIndex:
             value = t[self.attr]
             if is_null(value):
                 continue
-            try:
-                key = (value.__class__, value) if value else interning_key(value)
-                rows = by_key.get(key)
-                if rows is None:
-                    rows = by_key[key] = []
-                    keyed.append((value, rows))
-            except TypeError:  # unhashable: own group, no dedup
-                rows = []
+            key = (value.__class__, value) if value else interning_key(value)
+            rows = by_key.get(key)
+            if rows is None:
+                rows = by_key[key] = []
                 keyed.append((value, rows))
             rows.append(t)
         for value, rows in keyed:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import DataError
+from repro.relational.attribute import require_atom
 from repro.relational.relation import Relation
 
 
@@ -202,7 +203,8 @@ class Changeset:
 
         Simulates the op sequence (edits/deletes on a tid deleted
         earlier in the same changeset fail; unknown tids, unknown
-        attributes and out-of-range confidences fail), raising
+        attributes, unhashable values and out-of-range confidences
+        fail), raising
         :class:`~repro.exceptions.DataError` /
         :class:`~repro.exceptions.SchemaError`.  :meth:`apply_to` runs
         this before mutating anything, so a bad op can never leave the
@@ -218,6 +220,8 @@ class Changeset:
                         f"relation {schema.name!r}"
                     )
                 schema.check_attrs([op.attr])
+                if op.value is not KEEP:
+                    require_atom(op.value, op.tid, op.attr)
                 if op.conf is not KEEP and op.conf is not None:
                     try:
                         in_range = 0.0 <= op.conf <= 1.0  # type: ignore[operator]
@@ -229,8 +233,9 @@ class Changeset:
                             f"[0, 1] on tuple #{op.tid}"
                         )
             elif isinstance(op, Insert):
-                for attr in op.values:
+                for attr, value in op.values.items():
                     schema.check_attrs([attr])
+                    require_atom(value, None, attr)
                 if op.confidences:
                     for attr, conf in op.confidences.items():
                         schema.check_attrs([attr])

@@ -46,7 +46,7 @@ from repro.core.fixes import Fix, FixKind
 from repro.exceptions import TornFrame
 from repro.core.trace import RoundTrace, WorklistTrace
 from repro.pipeline.changeset import KEEP, CellEdit, Delete, Insert, Op
-from repro.relational.attribute import interning_key
+from repro.relational.attribute import interning_key, require_atom
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import CTuple
@@ -64,9 +64,9 @@ class ValueTable:
     Values are deduplicated by ``(type, value)`` so numerically equal
     scalars of different types (``0`` / ``0.0`` / ``False``) keep their
     identity through a round-trip, and ``-0.0`` keeps its sign
-    (:func:`~repro.relational.attribute.interning_key`).  Unhashable
-    values are appended without deduplication (they cannot recur by
-    equality anyway).
+    (:func:`~repro.relational.attribute.interning_key`).  Every cell is
+    a hashable atom (:func:`~repro.relational.attribute.require_atom`),
+    so every value has a key.
     """
 
     __slots__ = ("values", "_index")
@@ -77,16 +77,12 @@ class ValueTable:
 
     def ref(self, value: Any) -> int:
         """Intern *value*, returning its table reference."""
-        try:
-            key = (value.__class__, value) if value else interning_key(value)
-            index = self._index.get(key)
-            if index is None:
-                index = self._index[key] = len(self.values)
-                self.values.append(value)
-            return index
-        except TypeError:  # unhashable: store without dedup
+        key = (value.__class__, value) if value else interning_key(value)
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self.values)
             self.values.append(value)
-            return len(self.values) - 1
+        return index
 
     def refs(self, items: Sequence[Any]) -> array:
         """Intern a sequence, returning the narrowest int array of
@@ -234,23 +230,28 @@ def decode_relation(
         remap: Dict[int, int] = {}
         make = ColumnTuple.make
         append = store.append_refs
-        for row, tid in enumerate(blob["tids"]):
-            vrefs: List[int] = []
-            for col in cols:
-                r = col[row]
-                m = remap.get(r)
-                if m is None:
-                    m = remap[r] = resident_ref(values[r])
-                vrefs.append(m)
-            crefs: List[int] = []
-            for col in confs:
-                r = col[row]
-                m = remap.get(r)
-                if m is None:
-                    m = remap[r] = resident_ref(values[r])
-                crefs.append(m)
-            tuples[tid] = make(store, append(tid, vrefs, crefs), tid)
+        try:
+            for row, tid in enumerate(blob["tids"]):
+                vrefs: List[int] = []
+                for col in cols:
+                    r = col[row]
+                    m = remap.get(r)
+                    if m is None:
+                        m = remap[r] = resident_ref(values[r])
+                    vrefs.append(m)
+                crefs: List[int] = []
+                for col in confs:
+                    r = col[row]
+                    m = remap.get(r)
+                    if m is None:
+                        m = remap[r] = resident_ref(values[r])
+                    crefs.append(m)
+                tuples[tid] = make(store, append(tid, vrefs, crefs), tid)
+        except TypeError:  # interning met an unhashable value
+            _require_atoms(blob, values)
+            raise
     else:
+        _require_atoms(blob, values)
         for row, tid in enumerate(blob["tids"]):
             t = CTuple.__new__(CTuple)
             t.schema = schema
@@ -265,6 +266,18 @@ def decode_relation(
     relation._next_tid = blob["next_tid"]
     relation._retired = set(blob["retired"])
     return relation
+
+
+def _require_atoms(blob: Dict[str, Any], values: List[Any]) -> None:
+    """:func:`~repro.relational.attribute.require_atom` over the cells of
+    an encoded relation, once per distinct reference of each column."""
+    tids = blob["tids"]
+    for attr, col in zip(blob["schema"][1], blob["cols"]):
+        for ref in set(col):
+            try:
+                hash(values[ref])
+            except TypeError:
+                require_atom(values[ref], tids[list(col).index(ref)], attr)
 
 
 # ----------------------------------------------------------------------

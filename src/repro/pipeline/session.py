@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.consistency import assert_consistent, relation_is_clean
 from repro.constraints.cfd import CFD
@@ -690,7 +690,6 @@ class CleaningSession:
             return self._full_replay(timings)
 
         pre_apply_log = self.fix_log
-        fixed_cells: Set[Cell] = {fix.cell for fix in pre_apply_log}
         schema_attrs = tuple(self.working.schema.names)
 
         # --- Seed the perturbed-cell set -------------------------------
@@ -727,7 +726,7 @@ class CleaningSession:
 
         perturbed: Set[Cell] = set()
         if not unsafe and seeds:
-            perturbed, safe = self._perturb_closure(seeds, fixed_cells)
+            perturbed, safe = self._perturb_closure(seeds, pre_apply_log)
             unsafe = not safe
         timings["delta"] = time.perf_counter() - started
         if unsafe:
@@ -855,7 +854,7 @@ class CleaningSession:
         return set(self.base.tids())
 
     def _perturb_closure(
-        self, seeds: Set[Cell], fixed_cells: Set[Cell]
+        self, seeds: Set[Cell], superseded: FixLog
     ) -> Tuple[Set[Cell], bool]:
         """The perturbed-cell closure of *seeds*, with a safety verdict.
 
@@ -867,12 +866,24 @@ class CleaningSession:
 
         The closure is **safe** — the scoped replay provably reproduces a
         from-scratch run — only when no perturbed cell sits on a
-        variable-CFD premise (membership would change) and no perturbed
+        variable-CFD premise (membership would change), no perturbed
         group contains a member whose premise there was rewritten by the
-        superseded run (membership *evolved*; a scoped replay would read
-        its final position, a scratch run its stage positions).  Returns
+        *superseded* run (membership *evolved*; a scoped replay would read
+        its final position, a scratch run its stage positions), and no
+        perturbed group's key holds a value that run wrote into a premise
+        attribute — the only way a tuple can enter a group mid-run, so a
+        tuple may have passed through the group and left again.  Returns
         ``(perturbed, safe)``; an unsafe closure is abandoned eagerly.
         """
+        var_lhs = self._var_lhs_attrs
+        fixed_cells: Set[Cell] = set()
+        # (attr, value) pairs: set membership is the group stores' own key
+        # equality (identity first, so one NaN object matches itself).
+        premise_writes: Set[Tuple[str, Any]] = set()
+        for fix in superseded:
+            fixed_cells.add(fix.cell)
+            if fix.attr in var_lhs:
+                premise_writes.add((fix.attr, fix.new_value))
         live = self._live_tids()
         perturbed: Set[Cell] = set()
         processed: Set[Cell] = set()
@@ -885,7 +896,7 @@ class CleaningSession:
             tid, attr = cell
             if tid not in live:
                 continue
-            if attr in self._var_lhs_attrs:
+            if attr in var_lhs:
                 return perturbed, False  # premise cell: membership changes
             perturbed.add(cell)
             for rhs in self._pt_rhs_by_attr.get(attr, ()):
@@ -900,6 +911,10 @@ class CleaningSession:
                     key = store.key_of.get(tid)
                     if key is None:
                         continue
+                    for y, value in zip(lhs, key):
+                        if (y, value) in premise_writes:
+                            # A tuple may have passed through the group.
+                            return perturbed, False
                     group = store.groups.get(key)
                     if group is None:
                         continue

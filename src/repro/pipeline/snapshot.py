@@ -338,12 +338,20 @@ def _cache_entries(session, scoped: bool) -> Dict[str, List[Tuple]]:
     every shard file would duplicate the whole worker's cache.  Dropping
     an entry is always safe: the cache is a pure memo, recomputed
     deterministically on miss.
+
+    MDs sharing a premise share one index, so each cache is written
+    once, under the first name that reaches it; restoring warms the
+    shared index through that name.  Snapshots that list a cache under
+    every sibling name restore too: the siblings' entries agree key for
+    key, so warming the shared index from each leaves one cache.
     """
     out: Dict[str, List[Tuple]] = {}
     allowed_by_attrs: Dict[Tuple[str, ...], set] = {}
+    written: set = set()
     for name, index in session.md_indexes.items():
-        if not index._match_cache:
+        if not index._match_cache or id(index) in written:
             continue
+        written.add(id(index))
         entries = index.cache_entries()
         if scoped:
             attrs = index._premise_attrs

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import copysign
 from typing import Any, Iterable, Optional, Tuple
 
-from repro.exceptions import SchemaError
+from repro.exceptions import DataError, SchemaError
 
 
 class NullType:
@@ -65,6 +65,24 @@ def cell_changed(old: Any, new: Any) -> bool:
     the object is unequal to itself (NaN) — the equality the columnar
     backend's interned refs give, so both backends agree."""
     return old is not new and old != new
+
+
+def require_atom(value: Any, tid: Optional[int], attr: str) -> None:
+    """The value-domain rule: a cell holds a hashable atom, as in the paper.
+
+    Group keys, interning tables and match caches all key cells by value,
+    so a value that cannot be hashed (a list, a dict) has no place in any
+    of them.  Raises :class:`~repro.exceptions.DataError` naming the
+    tuple (``None``: a tuple not yet inserted) and the attribute.
+    """
+    try:
+        hash(value)
+    except TypeError:
+        where = "an inserted tuple" if tid is None else f"tuple #{tid}"
+        raise DataError(
+            f"{where}: attribute {attr!r} holds an unhashable "
+            f"{type(value).__name__} {value!r}; a cell holds a hashable atom"
+        ) from None
 
 
 def interning_key(value: Any) -> Tuple[type, Any]:

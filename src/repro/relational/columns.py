@@ -202,20 +202,17 @@ class ValueTable:
         return len(self.values)
 
     def ref(self, value: Any) -> int:
-        """Intern *value*, returning its table reference."""
-        try:
-            key = (value.__class__, value) if value else interning_key(value)
-            index = self._index.get(key)
-            if index is None:
-                index = self._index[key] = len(self.values)
-                self.values.append(value)
-                self.canon.append(self._canon_index.setdefault(value, index))
-            return index
-        except TypeError:  # unhashable: store without dedup, own canon class
-            index = len(self.values)
+        """Intern *value*, returning its table reference.  An unhashable
+        value raises ``TypeError`` before the table changes; relations
+        turn it into the typed error of
+        :func:`~repro.relational.attribute.require_atom`."""
+        key = (value.__class__, value) if value else interning_key(value)
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self.values)
             self.values.append(value)
-            self.canon.append(index)
-            return index
+            self.canon.append(self._canon_index.setdefault(value, index))
+        return index
 
     def canon_ref(self, value: Any) -> int:
         """The canonical reference of *value*'s ``==`` equality class."""
@@ -224,8 +221,9 @@ class ValueTable:
     def find_canon(self, value: Any) -> Optional[int]:
         """The canonical reference of *value* **without interning it**, or
         ``None`` when no interned value compares ``==`` to it — the probe
-        predicates use so lookups never grow the table.  Unhashable probes
-        raise ``TypeError`` (callers fall back to a ``==`` scan)."""
+        predicates use so lookups never grow the table.  An unhashable
+        probe raises ``TypeError``: no cell can hold one
+        (:func:`~repro.relational.attribute.require_atom`)."""
         return self._canon_index.get(value)
 
     def intern_tuple(self, values: Sequence[Any]) -> Tuple[Any, ...]:

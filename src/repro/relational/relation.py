@@ -43,7 +43,7 @@ from typing import (
 
 from repro.exceptions import DataError, SchemaError
 from repro.relational import columns as _columns
-from repro.relational.attribute import NULL, cell_changed
+from repro.relational.attribute import NULL, cell_changed, require_atom
 from repro.relational.columns import ColumnStore, ColumnTuple, ValueTable
 from repro.relational.schema import Schema
 from repro.relational.tuples import CTuple
@@ -230,15 +230,22 @@ class Relation:
         Returns the resident tuple: the same object for dict-backed
         relations, a row-view over the column store otherwise (the input
         handle's ``tid`` is updated either way, but only the returned
-        tuple addresses the resident row).
+        tuple addresses the resident row).  An unhashable cell value
+        raises :class:`~repro.exceptions.DataError` before anything
+        changes (:func:`~repro.relational.attribute.require_atom`).
         """
         if t.schema != self.schema:
             raise DataError(
                 f"tuple of schema {t.schema.name!r} cannot join relation "
                 f"of schema {self.schema.name!r}"
             )
-        if t.tid is None or t.tid in self._tuples or t.tid in self._retired:
-            t.tid = self._next_tid
+        tid = t.tid
+        if tid is None or tid in self._tuples or tid in self._retired:
+            tid = self._next_tid
+        if not isinstance(t, ColumnTuple):  # a row-view's cells are interned
+            for name in self.schema.names:
+                require_atom(t[name], tid, name)
+        t.tid = tid
         resident = self._absorb(t)
         self._tuples[resident.tid] = resident
         self._next_tid = max(self._next_tid, resident.tid) + 1
@@ -312,7 +319,12 @@ class Relation:
             resident._values = dict(zip(names, values))
             resident._conf = dict(zip(names, confs))
         else:
-            row = store.append_values(tid, values, confs)
+            try:
+                row = store.append_values(tid, values, confs)
+            except TypeError:  # interning met an unhashable value
+                for name, value in zip(names, values):
+                    require_atom(value, tid, name)
+                raise
             resident = ColumnTuple.make(store, row, tid)
         self._tuples[tid] = resident
         self._next_tid = tid + 1
@@ -481,12 +493,22 @@ class Relation:
         method so that incrementally maintained indexes see every change.
         Returns whether the value actually changed; observers only fire
         on a real change.  Confidence is metadata — set it separately via
-        ``t.set_conf`` (indexes never depend on it).
+        ``t.set_conf`` (indexes never depend on it).  An unhashable value
+        raises :class:`~repro.exceptions.DataError` and changes nothing
+        (:func:`~repro.relational.attribute.require_atom`).
         """
         old = t[attr]
         if not cell_changed(old, value):
             return False
-        t[attr] = value
+        if self._columns is None:
+            require_atom(value, t.tid, attr)
+            t[attr] = value
+        else:
+            try:
+                t[attr] = value
+            except TypeError:  # interning met an unhashable value
+                require_atom(value, t.tid, attr)
+                raise
         for observer in self._observers:
             observer(t, attr, old, value)
         return True

@@ -1,6 +1,6 @@
 """Similarity metrics and predicates (the set Υ of the paper, Section 2.2).
 
-Provides edit distance (with banded early exit), Hamming, Jaro and
+Provides edit distance (one bit-parallel kernel), Hamming, Jaro and
 Jaro–Winkler, q-gram/Jaccard, longest-common-substring utilities (the
 blocking bound of Section 5.2), and the :class:`SimilarityPredicate`
 abstraction that matching dependencies are defined over.

@@ -2,77 +2,54 @@
 
 The paper's experiments "used edit distance for similarity test, defined as
 the minimum number of single-character insertions, deletions and
-substitutions needed to convert a value from v to v′" (Section 8).  The
-unbounded distance uses the standard two-row dynamic program; the
-thresholded test ``edit_distance(a, b, max_distance=k)`` — which is what
-MD premise verification actually calls on every match-cache miss, the
-hottest similarity path of the pipeline — runs the O(k·min(|a|,|b|))
-*diagonal band* DP (Ukkonen's cutoff): a cell ``(i, j)`` can lie on a
-path of cost ≤ k only when
-
-    |j - i| + |(len(b) - len(a)) - (j - i)|  ≤  k,
-
-so per row only a band of ≤ k+1 cells is computed, with an early exit as
-soon as the whole band exceeds the bound.
+substitutions needed to convert a value from v to v′" (Section 8).  Both
+forms — the unbounded distance the Section 3.1 cost model prices repairs
+with, and the thresholded test ``edit_distance(a, b, max_distance=k)``
+that MD premise verification calls on every match-cache miss — run one
+bit-parallel kernel (:func:`_bit_parallel_distance`, Myers 1999 in
+Hyyrö's formulation for global distance): one DP column is packed into
+two delta bit vectors over Python ints, so a column costs a dozen
+big-int operations instead of ``|a|`` interpreted cell updates.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 
-def _banded_distance(a: str, b: str, k: int) -> int:
-    """Thresholded distance over the k-band; ``k + 1`` when it exceeds *k*.
+def _bit_parallel_distance(a: str, b: str) -> int:
+    """Levenshtein distance of two non-empty strings, one column of the
+    DP per character of *b*, the column packed over ``len(a)`` bits.
 
-    Requires ``len(a) <= len(b)`` and ``len(b) - len(a) <= k``.
+    ``pv``/``mv`` hold the column's vertical +1/−1 deltas
+    ``D[i][j] - D[i-1][j]``; ``score`` tracks the last row
+    ``D[len(a)][j]``.  Row 0 is ``D[0][j] = j``, so every column shifts
+    a +1 horizontal delta in at the bottom bit.
     """
-    la, lb = len(a), len(b)
-    gap = lb - la
-    # Offsets of the band around the diagonal j - i ∈ [-lo, gap + hi]:
-    # a path spends |j - i| getting to the cell and |gap - (j - i)|
-    # getting home, so 2·lo + gap ≤ k bounds the halves.
-    half = (k - gap) // 2
-    lo_diag = -half                 # min j - i
-    hi_diag = gap + (k - gap) - half  # max j - i (uses the leftover parity)
-    inf = k + 1
-
-    # previous[i - row_lo] = d(i, j-1) for i in the previous row's window.
-    prev_lo = 0
-    previous = [min(i, inf) for i in range(0, min(la, -lo_diag if lo_diag < 0 else 0) + 1)]
-    # Row j = 0: window is i ∈ [0, min(la, -lo_diag)] with d(i, 0) = i.
-    for j in range(1, lb + 1):
-        row_lo = max(0, j - hi_diag)
-        row_hi = min(la, j - lo_diag)
-        if row_lo > row_hi:
-            return inf
-        current = []
-        bj = b[j - 1]
-        best = inf
-        for i in range(row_lo, row_hi + 1):
-            if i == 0:
-                val = j if j <= k else inf
-            else:
-                # previous row covers [prev_lo, prev_lo + len(previous) - 1]
-                p_idx = i - prev_lo
-                sub = previous[p_idx - 1] + (0 if a[i - 1] == bj else 1) \
-                    if 0 < p_idx <= len(previous) else inf
-                dele = previous[p_idx] + 1 if 0 <= p_idx < len(previous) else inf
-                ins = current[-1] + 1 if i > row_lo else inf
-                val = sub if sub < dele else dele
-                if ins < val:
-                    val = ins
-                if val > k:
-                    val = inf
-            current.append(val)
-            if val < best:
-                best = val
-        if best > k:
-            return inf
-        previous, prev_lo = current, row_lo
-    if la < prev_lo or la - prev_lo >= len(previous):
-        return inf
-    result = previous[la - prev_lo]
-    return result if result <= k else inf
+    peq: Dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    pv = full
+    mv = 0
+    score = len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def edit_distance(a: str, b: str, max_distance: Optional[int] = None) -> int:
@@ -83,10 +60,10 @@ def edit_distance(a: str, b: str, max_distance: Optional[int] = None) -> int:
     a, b:
         The two strings.
     max_distance:
-        When given, the computation may stop early and return
-        ``max_distance + 1`` as soon as the true distance provably exceeds
-        the bound.  This selects the O(max_distance · min(|a|,|b|))
-        diagonal-band DP, the standard trick for thresholded joins.
+        When given, the result is ``min(distance, max_distance + 1)``:
+        exact within the bound, ``max_distance + 1`` beyond it — and
+        returned without running the kernel when the length gap alone
+        exceeds the bound.
 
     Examples
     --------
@@ -113,36 +90,24 @@ def edit_distance(a: str, b: str, max_distance: Optional[int] = None) -> int:
         hi_b -= 1
     a = a[lo:hi_a]
     b = b[lo:hi_b]
-    # Ensure a is the shorter string: the DP keeps rows of len(a) + 1.
-    if len(a) > len(b):
+    # The longer string goes into the bit vectors and the shorter one
+    # drives the loop: a wider int costs far less than another column.
+    if len(a) < len(b):
         a, b = b, a
     la, lb = len(a), len(b)
     if max_distance is not None:
         if max_distance < 0:
-            return max_distance + 1 if lb > 0 else 0
-        if lb - la > max_distance:
+            return max_distance + 1 if la > 0 else 0
+        if la - lb > max_distance:
             return max_distance + 1
-        return _banded_distance(a, b, max_distance)
-    if la == 0:
-        return lb
-    previous = list(range(la + 1))
-    current = [0] * (la + 1)
-    for j in range(1, lb + 1):
-        current[0] = j
-        bj = b[j - 1]
-        for i in range(1, la + 1):
-            cost = 0 if a[i - 1] == bj else 1
-            current[i] = min(
-                previous[i] + 1,      # deletion
-                current[i - 1] + 1,   # insertion
-                previous[i - 1] + cost,  # substitution / match
-            )
-        previous, current = current, previous
-    return previous[la]
+    distance = _bit_parallel_distance(a, b) if lb else la
+    if max_distance is not None and distance > max_distance:
+        return max_distance + 1
+    return distance
 
 
 def within_edit_distance(a: str, b: str, k: int) -> bool:
-    """Whether ``edit_distance(a, b) <= k`` (banded, with early exit)."""
+    """Whether ``edit_distance(a, b) <= k`` (thresholded form)."""
     if k < 0:
         return False
     return edit_distance(a, b, max_distance=k) <= k

@@ -91,7 +91,7 @@ EQ_NORMALIZED = SimilarityPredicate(
 
 
 def edit_within(k: int) -> SimilarityPredicate:
-    """Predicate "edit distance ≤ k" (with early-exit banded DP)."""
+    """Predicate "edit distance ≤ k" (the thresholded kernel form)."""
     if k < 0:
         raise ConstraintError(f"edit distance bound must be >= 0, got {k}")
     return SimilarityPredicate(

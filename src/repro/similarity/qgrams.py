@@ -133,24 +133,55 @@ SIGNATURE_INDEX_BITS = 8
 SIGNATURE_BITS = 1 << SIGNATURE_INDEX_BITS
 
 
+def gram_bit(gram: str) -> int:
+    """The :func:`qgram_signature` bit of one (padded) gram: the bit
+    indexed by the top :data:`SIGNATURE_INDEX_BITS` bits of
+    ``crc32(utf32le(gram))``."""
+    code = zlib.crc32(gram.encode("utf-32-le", "surrogatepass"))
+    return 1 << (code >> (32 - SIGNATURE_INDEX_BITS))
+
+
 def qgram_signature(s: str, q: int = 2) -> int:
     """Fixed-width bit signature of the padded q-gram set of *s*.
 
-    Gram ``g`` (the padded grams of :func:`qgrams`) sets the bit indexed
-    by the top :data:`SIGNATURE_INDEX_BITS` bits of ``crc32(utf32le(g))``:
-    a fixed code, unlike the salted ``hash()``, so signatures — and the
-    filter decisions built on them — repeat across processes.
+    Gram ``g`` (the padded grams of :func:`qgrams`) sets
+    :func:`gram_bit` ``(g)``: a fixed code, unlike the salted ``hash()``,
+    so signatures — and the filter decisions built on them — repeat
+    across processes.
     """
     if q > 1:
         s = "#" * (q - 1) + s + "#" * (q - 1)
-    # Four bytes per character: each gram is one fixed-width byte slice.
-    data = s.encode("utf-32-le", "surrogatepass")
-    width = 4 * q
-    shift = 32 - SIGNATURE_INDEX_BITS
     sig = 0
-    for i in range(0, len(data) - width + 1, 4):
-        sig |= 1 << (zlib.crc32(data[i : i + width]) >> shift)
+    for i in range(len(s) - q + 1):
+        sig |= gram_bit(s[i : i + q])
     return sig
+
+
+class GramBits(dict):
+    """A memo of :func:`gram_bit` for signing many strings.
+
+    ``table.signature(s)`` equals ``qgram_signature(s, q)`` at one dict
+    lookup per gram; each distinct gram is encoded and hashed once.
+    """
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: int = 2):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, gram: str) -> int:
+        bit = self[gram] = gram_bit(gram)
+        return bit
+
+    def signature(self, s: str) -> int:
+        q = self.q
+        if q > 1:
+            s = "#" * (q - 1) + s + "#" * (q - 1)
+        sig = 0
+        for i in range(len(s) - q + 1):
+            sig |= self[s[i : i + q]]
+        return sig
 
 
 def edit_signature_admits(sig_a: int, sig_b: int, k: int, q: int = 2) -> bool:

@@ -142,14 +142,3 @@ class TestKeyInterning:
         assert store.key_of[0] is seen[0]
         assert store.intern_key(("k1",)) is seen[0]
         registry.detach()
-
-    def test_md_blocking_keys_are_interned(self):
-        relation = build([("k1", "a1", "b1"), ("k1", "a2", "b2")])
-        registry = GroupStoreRegistry(relation)
-        store = registry.md_store(MDS[0])
-        assert store.key_of[0] is store.key_of[1]
-        t1 = relation.by_tid(1)
-        relation.set_value(t1, "K", "k2")
-        relation.set_value(t1, "K", "k1")
-        assert store.key_of[1] is store.key_of[0]
-        registry.detach()

@@ -30,7 +30,7 @@ from repro.constraints import CFD, MD
 from repro.core import UniCleanConfig
 from repro.exceptions import DataError, SnapshotCorrupt, SnapshotError
 from repro.pipeline import Changeset, CleaningSession, ShardedCleaningSession
-from repro.pipeline import snapshot
+from repro.pipeline import payload, snapshot
 from repro.relational import Relation, Schema
 from repro.relational.columns import using_backend
 from repro.similarity.predicates import edit_within
@@ -83,6 +83,30 @@ def make_session(**kwargs) -> CleaningSession:
     return CleaningSession(
         cfds=CFDS, mds=MDS, master=MASTER, config=CONFIG, **kwargs
     )
+
+
+#: One MD with two RHS pairs: its normalized siblings share an index.
+SHARED_MASTER_SCHEMA = Schema("Rm2", ["blk", "nm", "A", "B"])
+SHARED_MDS = [
+    MD(SCHEMA, SHARED_MASTER_SCHEMA,
+       [("blk", "blk"), ("nm", "nm", edit_within(1))],
+       [("A", "A"), ("B", "B")], name="md_ab"),
+]
+SHARED_MASTER = Relation.from_dicts(
+    SHARED_MASTER_SCHEMA,
+    [
+        {"blk": "x", "nm": "nm1", "A": "aX", "B": "bX"},
+        {"blk": "y", "nm": "nm2", "A": "aY", "B": "bY"},
+    ],
+)
+
+
+def make_shared_session() -> CleaningSession:
+    session = CleaningSession(
+        cfds=CFDS, mds=SHARED_MDS, master=SHARED_MASTER, config=CONFIG
+    )
+    session.clean(build_relation())
+    return session
 
 
 def make_sharded(**kwargs) -> ShardedCleaningSession:
@@ -204,6 +228,49 @@ class TestSessionSnapshot:
                 assert [s.tid for s in twin_cache[key]] == [
                     s.tid for s in matched
                 ]
+
+    def test_shared_cache_is_written_once(self):
+        session = make_shared_session()
+        index = session.md_indexes["md_ab#0"]
+        assert session.md_indexes["md_ab#1"] is index
+        _kind, sections = snapshot.unpack_snapshot(
+            snapshot.encode_session(session), expect_kind="session"
+        )
+        values = pickle.loads(sections["values"])
+        caches = payload.decode_match_caches(
+            pickle.loads(sections["cache"]), values
+        )
+        assert list(caches) == ["md_ab#0"]
+        assert caches["md_ab#0"] == index.cache_entries()
+
+    def test_parent_format_cache_restores_identically(self):
+        """A snapshot from before premise sharing lists the cache under
+        every sibling name (encoded with ``encode_match_caches``); its
+        entries agree key for key, whatever their order, and restore
+        to the shared cache a fresh save would hold."""
+        live = make_shared_session()
+        entries = live.md_indexes["md_ab#0"].cache_entries()
+        assert len(entries) > 1, "workload should fill several entries"
+        _kind, sections = snapshot.unpack_snapshot(
+            snapshot.encode_session(live), expect_kind="session"
+        )
+        table = payload.ValueTable()
+        for value in pickle.loads(sections["values"]):
+            table.ref(value)
+        parent_caches = {
+            "md_ab#0": entries,
+            "md_ab#1": list(reversed(entries)),
+        }
+        sections["cache"] = pickle.dumps(
+            payload.encode_match_caches(parent_caches, table)
+        )
+        sections["values"] = pickle.dumps(table.values)
+        twin = snapshot.decode_session(
+            snapshot.pack_snapshot("session", sections)
+        )
+        index = twin.md_indexes["md_ab#0"]
+        assert twin.md_indexes["md_ab#1"] is index
+        assert index.cache_entries() == entries
 
     def test_post_restore_applies_are_byte_identical(self, tmp_path):
         live = make_session()

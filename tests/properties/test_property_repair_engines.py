@@ -30,6 +30,7 @@ from repro.analysis.consistency import relation_violations
 from repro.constraints import CFD, MD
 from repro.core import UniClean, UniCleanConfig
 from repro.evaluation import generate
+from repro.exceptions import DataError
 from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
 from repro.relational.attribute import cell_changed
@@ -203,6 +204,7 @@ class TestFuzzedRepairTrajectories:
 # ----------------------------------------------------------------------
 NAN = float("nan")  # one shared NaN object: equal to itself by identity
 OTHER_NAN = float("nan")  # a second NaN, unequal to the first
+UNHASHABLE = ["un", "hashable"]  # no cell may hold it
 DOMAIN = [NAN, OTHER_NAN, -0.0, 0.0, 0, False, NULL, "ünïcødé ✓", "k", "x"]
 
 _NAN_NAMES = {id(NAN): "NAN", id(OTHER_NAN): "OTHER_NAN"}
@@ -266,10 +268,13 @@ def _value_observables(rows, names, constant, master, columnar):
     cfds, mds = _value_rules(names, constant)
     with using_backend(columnar):
         relation = Relation(V_SCHEMA)
-        for a, b, c, conf in rows:
-            relation.add_row(
-                {"a": a, "b": b, "c": c}, {"a": conf, "b": conf, "c": conf}
-            )
+        try:
+            for a, b, c, conf in rows:
+                relation.add_row(
+                    {"a": a, "b": b, "c": c}, {"a": conf, "b": conf, "c": conf}
+                )
+        except Exception as exc:  # must fail the same way on both backends
+            return {"raised": exc}
         assert (relation.column_store is not None) == columnar
         out = {
             semantics: [
@@ -290,7 +295,7 @@ def _value_observables(rows, names, constant, master, columnar):
         try:
             result = session.clean(relation)
         except Exception as exc:  # must fail the same way on both backends
-            out["raised"] = f"{type(exc).__name__}: {exc}"
+            out["raised"] = exc
             return out
     # Every logged fix changes its cell (no ``nan -> nan`` on one NaN).
     assert all(cell_changed(f.old_value, f.new_value) for f in result.fix_log)
@@ -322,11 +327,23 @@ class TestValueDomain:
              ("k", "x"), [("k", "x")])
     # Two c -> b groups keyed by distinct NaN objects (see below).
     @example(NAN_GROUP_ROWS, ["fd_cb"], ("k", "x"), [("k", "x")])
+    # An unhashable cell: a cell holds a hashable atom, so the value is
+    # refused where it enters, with the typed error.
+    @example([("k", UNHASHABLE, "x", None), ("k", "x", "x", None)], ["fd_ab"],
+             ("k", "x"), [("k", "x")])
     def test_columnar_matches_dict_oracle(self, rows, names, constant, master):
         results = {
             name: _value_observables(rows, names, constant, master, columnar)
             for name, columnar in BACKENDS.items()
         }
+        for name, observed in results.items():
+            # Absolute: nothing but the typed error may escape.
+            raised = observed.pop("raised", None)
+            assert raised is None or type(raised) is DataError, (
+                f"{name} raised {type(raised).__name__}: {raised}"
+            )
+            if raised is not None:
+                observed["raised"] = str(raised)
         for key, expected in results["dict"].items():
             assert results["columnar"][key] == expected, (
                 f"columnar diverged from dict on {key}"

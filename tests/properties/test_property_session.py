@@ -132,11 +132,43 @@ def check_apply_equivalence(data, compact_batches, config, with_mds: bool):
         } == {cell: fix.kind for cell, fix in reference.fix_log._latest.items()}
 
 
+#: Tid 4's A goes b1 -> a2 (eRepair, fd_ka) -> NULL (hRepair, fd_ab,
+#: against tid 5's B): the superseded run moved tid 4 through the a2
+#: group of fd_ab and out again.  Deleting tid 5 perturbs that group, so
+#: the closure must see the transit and take the full replay; a scoped
+#: replay kept A = NULL where a from-scratch clean leaves a2.
+TRANSIT_ROWS = [
+    ("k1", "a1", "a1", 0.0, 0.0, 0.0), ("k1", "b1", "a1", 0.0, 1.0, 1.0),
+    ("k3", "a2", "a1", 0.0, 0.0, 0.0), ("k3", "a2", "a1", 0.0, 0.0, 0.0),
+    ("k3", "b1", "a2", 0.0, 1.0, 0.0), ("k2", "a2", "a1", 1.0, 0.0, 0.0),
+    ("k3", "a2", "a1", 0.0, 0.0, 0.0), ("k3", "a2", "a1", 0.0, 0.0, 0.0),
+    ("k1", "a1", "a1", 0.0, 0.0, 0.0), ("k1", "a1", "a1", 0.0, 0.0, 0.0),
+]
+
+
 class TestApplyEquivalence:
     @given(rows, ops)
     @settings(max_examples=60, deadline=None)
+    @example(TRANSIT_ROWS, [("delete", 5)])
     def test_single_batch_full_pipeline(self, data, compact):
         check_apply_equivalence(data, [compact], CONFIGS[0], with_mds=True)
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "dict"])
+    def test_transit_through_perturbed_group(self, columnar):
+        from repro.relational.columns import using_backend
+
+        with using_backend(columnar):
+            master = build_master()
+            session = CleaningSession(
+                cfds=CFDS, mds=MDS, master=master, config=CONFIGS[0]
+            )
+            session.clean(build_relation(TRANSIT_ROWS))
+            out = session.apply(Changeset().delete(5))
+            reference = UniClean(
+                cfds=CFDS, mds=MDS, master=master, config=CONFIGS[0]
+            ).clean(session.base)
+        assert out.repaired.diff(reference.repaired) == []
+        assert out.full_reclean
 
     @given(rows, ops)
     @settings(max_examples=40, deadline=None)

@@ -280,3 +280,60 @@ class TestSharedViewRemoval:
         assert view.column_store is not parent.column_store
         assert view.column_store.n_dead == 1
         assert parent.column_store.n_dead == 0
+
+
+class TestValueDomainRule:
+    """A cell holds a hashable atom: every entry point refuses anything
+    else with a :class:`DataError` naming the tuple and the attribute,
+    and leaves the relation as it was."""
+
+    UNHASHABLE = ["un", "hashable"]
+
+    @pytest.fixture(params=[True, False], ids=["columnar", "dict"])
+    def relation(self, request, schema):
+        from repro.relational.columns import using_backend
+
+        with using_backend(request.param):
+            relation = Relation.from_dicts(schema, [{"A": "a1", "B": "b1"}])
+            assert (relation.column_store is not None) == request.param
+            yield relation
+
+    def test_add_row(self, relation):
+        with pytest.raises(DataError, match=r"tuple #1: attribute 'B'"):
+            relation.add_row({"A": "a2", "B": self.UNHASHABLE})
+        assert relation.tids() == (0,)
+
+    def test_add(self, relation, schema):
+        with pytest.raises(DataError, match=r"attribute 'A'"):
+            relation.add(CTuple(schema, {"A": {"x": 1}, "B": "b"}))
+        assert relation.tids() == (0,)
+
+    def test_set_value(self, relation):
+        seen = []
+        relation.add_observer(lambda *event: seen.append(event))
+        t = relation.by_tid(0)
+        with pytest.raises(DataError, match=r"tuple #0: attribute 'B'"):
+            relation.set_value(t, "B", self.UNHASHABLE)
+        assert t["B"] == "b1" and seen == []
+
+    def test_changeset_is_all_or_nothing(self, relation):
+        from repro.pipeline import Changeset
+
+        edit = Changeset().edit(0, "A", "a9").edit(0, "B", self.UNHASHABLE)
+        with pytest.raises(DataError, match=r"tuple #0: attribute 'B'"):
+            edit.apply_to(relation)
+        insert = Changeset().insert({"A": self.UNHASHABLE})
+        with pytest.raises(DataError, match=r"inserted tuple: attribute 'A'"):
+            insert.apply_to(relation)
+        assert relation.tids() == (0,)
+        assert relation.by_tid(0)["A"] == "a1"
+
+    def test_payload_decode(self, relation):
+        from repro.pipeline import payload
+
+        table = payload.ValueTable()
+        blob = payload.encode_relation(relation, table)
+        values = list(table.values)
+        values[blob["cols"][1][0]] = self.UNHASHABLE  # B of tuple #0
+        with pytest.raises(DataError, match=r"tuple #0: attribute 'B'"):
+            payload.decode_relation(blob, values)

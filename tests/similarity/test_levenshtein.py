@@ -2,6 +2,10 @@
 
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import value_distance
 from repro.similarity import edit_distance, edit_similarity, within_edit_distance
 
 
@@ -75,12 +79,13 @@ class TestEditSimilarity:
 
 
 class TestBandedAgainstClassicDP:
-    """ISSUE 3: adversarial coverage for the banded thresholded DP.
+    """Adversarial coverage for the thresholded form.
 
     The contract: ``edit_distance(a, b, max_distance=k)`` equals the
     true distance when it is ≤ k, and exactly ``k + 1`` otherwise.
-    Fuzzed against the textbook full-matrix DP over small alphabets
-    (including unicode), lengths 0–8 and bounds 0–4.
+    Fuzzed against the textbook full-matrix DP (the oracle of every
+    edit-distance test) over small alphabets (including unicode),
+    lengths 0–8 and bounds 0–4.
     """
 
     @staticmethod
@@ -168,3 +173,68 @@ class TestBandedAgainstClassicDP:
     )
     def test_edges(self, a, b, k):
         self.check(a, b, k)
+
+
+#: Alphabets of the kernel fuzz: two and three letters (many equal
+#: characters, so long shared runs and deep carries), and Unicode with
+#: astral characters (one code point each, never a surrogate pair).
+KERNEL_ALPHABETS = ["ab", "abc", "aé\U0001d11e\U0001f600"]
+
+
+@st.composite
+def kernel_pairs(draw):
+    """A string of 0–200 characters and a partner: either a copy with a
+    few random edits (distances inside small budgets) or an unrelated
+    string (distances far beyond them).  Lengths cross the 64- and
+    128-bit word edges, where the kernel's add carries across words."""
+    alphabet = draw(st.sampled_from(KERNEL_ALPHABETS))
+    letters = st.sampled_from(alphabet)
+    size = draw(st.one_of(
+        st.integers(min_value=0, max_value=200),
+        st.sampled_from([63, 64, 65, 127, 128, 129]),
+    ))
+    a = draw(st.lists(letters, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        b = list(a)
+        for _ in range(draw(st.integers(min_value=0, max_value=8))):
+            pos = draw(st.integers(min_value=0, max_value=len(b)))
+            op = draw(st.sampled_from(["insert", "delete", "replace"]))
+            if op == "insert":
+                b.insert(pos, draw(letters))
+            elif pos < len(b):
+                if op == "delete":
+                    del b[pos]
+                else:
+                    b[pos] = draw(letters)
+    else:
+        b = draw(st.lists(letters, max_size=200))
+    return "".join(a), "".join(b)
+
+
+class TestKernelAgainstClassicDP:
+    """Both forms of the bit-parallel kernel equal the full-matrix DP
+    (invariant 42): the unbounded distance exactly, the thresholded one
+    as ``min(d, k + 1)`` for ``k`` in 0–6, and so do the callers built
+    on them."""
+
+    @given(kernel_pairs())
+    @settings(max_examples=150, deadline=None)
+    @example(("a" * 64, "b" * 64))
+    @example(("ab" * 64, "ba" * 64))
+    @example(("a" * 129, "a" * 63 + "b" + "a" * 64))
+    @example(("\U0001d11e" * 65, "\U0001d11e" * 64))
+    def test_both_forms_equal_the_oracle(self, pair):
+        a, b = pair
+        d = TestBandedAgainstClassicDP.classic(a, b)
+        assert edit_distance(a, b) == d
+        assert edit_distance(b, a) == d
+        for k in range(7):
+            assert edit_distance(a, b, max_distance=k) == min(d, k + 1)
+            assert within_edit_distance(a, b, k) == (d <= k)
+        longest = max(len(a), len(b))
+        if longest:
+            assert edit_similarity(a, b) == 1.0 - d / longest
+            assert value_distance(a, b) == d / longest
+        else:
+            assert edit_similarity(a, b) == 1.0
+            assert value_distance(a, b) == 0.0

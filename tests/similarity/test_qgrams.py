@@ -18,6 +18,7 @@ from repro.similarity import (
 )
 from repro.similarity.levenshtein import edit_distance
 from repro.similarity.qgrams import (
+    GramBits,
     SIGNATURE_BITS,
     edit_signature_admits,
     qgram_signature,
@@ -128,6 +129,10 @@ pairs = st.tuples(words, words) | st.tuples(words, edit_ops).map(
 )
 
 
+#: One gram table per q, shared by every example (hits and misses).
+TABLES = {}
+
+
 class TestQgramSignature:
     @settings(max_examples=300, deadline=None)
     @given(pair=pairs, k=st.integers(min_value=0, max_value=5))
@@ -139,6 +144,18 @@ class TestQgramSignature:
     def test_fixed_width(self):
         for s in ["", "#", "a", "abc" * 40, "\U0001F600\ud800"]:
             assert 0 < qgram_signature(s) < 1 << SIGNATURE_BITS
+
+    def test_pinned_bits(self):
+        # The gram code of every signature this filter ever produced.
+        assert qgram_signature("near-duplicate titles \u00e9") == (
+            0x448002000200010810102000001841002000200048021080000000000800
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.text(max_size=40), q=st.integers(min_value=1, max_value=3))
+    def test_gram_table_equals_the_reference(self, s, q):
+        table = TABLES.setdefault(q, GramBits(q))  # warm across examples
+        assert table.signature(s) == qgram_signature(s, q)
 
     def test_rejects_distant_strings(self):
         a = qgram_signature("similarity joins over strings")
