@@ -324,7 +324,7 @@ def relation_is_clean(
                     if matched is None:
                         matched = bindex.cached_matches(t)
                     for s in matched:
-                        if value != s[master_attr]:
+                        if cell_changed(value, s[master_attr]):
                             return False
     return True
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConstraintError
-from repro.relational.attribute import is_null
+from repro.relational.attribute import cell_changed, is_null
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.tuples import CTuple
@@ -199,12 +199,13 @@ class MD:
         return all(clause.holds(t, s) for clause in self._eval_order)
 
     def identified(self, t: CTuple, s: CTuple) -> bool:
-        """Whether ``t[Ei] = s[Fi]`` for every RHS pair."""
-        return all(t[e] == s[f] for e, f in self.rhs)
+        """Whether ``t[Ei] = s[Fi]`` for every RHS pair (identity first,
+        so a cell holding its master value's very NaN object agrees)."""
+        return not any(cell_changed(t[e], s[f]) for e, f in self.rhs)
 
     def mismatched_rhs(self, t: CTuple, s: CTuple) -> Tuple[str, ...]:
         """The data-side RHS attributes ``Ei`` with ``t[Ei] ≠ s[Fi]``."""
-        return tuple(e for e, f in self.rhs if t[e] != s[f])
+        return tuple(e for e, f in self.rhs if cell_changed(t[e], s[f]))
 
     def satisfied_by(self, relation: Relation, master: Relation) -> bool:
         """``(D, Dm) ⊨ ψ``: no more tuples can be matched-and-updated."""

@@ -79,8 +79,8 @@ class CRepairResult:
 
     @property
     def fixed_cells(self) -> Set[Tuple[int, str]]:
-        """Cells carrying a deterministic mark."""
-        return self.fix_log.deterministic_cells()
+        """Cells carrying a deterministic mark (a snapshot)."""
+        return set(self.fix_log.deterministic_cells())
 
 
 class _CRepair:
@@ -163,9 +163,10 @@ class _CRepair:
             if isinstance(rule, VariableCFDRule)
         }
 
-        tids = relation.tids()
         self.count: Dict[Tuple[int, int], int] = {}
-        self.pending: Dict[int, Set[int]] = {tid: set() for tid in tids}  # P[t]
+        #: P[t], created on t's first wait: a scoped run never pays for
+        #: the tuples it does not touch.
+        self.pending: Dict[int, Set[int]] = {}
         self.queue: Deque[Tuple[int, int]] = deque()  # global worklist (t, rule)
         self.queued: Set[Tuple[int, int]] = set()
 
@@ -212,7 +213,7 @@ class _CRepair:
                     self._push(tid, rule_idx)
         # Variable CFDs t was waiting on whose RHS just became asserted:
         # t can now provide the group value.
-        pending = self.pending[tid]
+        pending = self.pending.get(tid)
         if not pending:
             return
         for rule_idx in list(pending):
@@ -309,7 +310,7 @@ class _CRepair:
             if t.tid not in entry.waiting_tids:
                 entry.waiting.append(t)
                 entry.waiting_tids.add(t.tid)  # type: ignore[arg-type]
-                self.pending[t.tid].add(rule_idx)  # type: ignore[index]
+                self.pending.setdefault(t.tid, set()).add(rule_idx)
 
     def _check_provision_escapes(
         self, rule: VariableCFDRule, rule_idx: int, provider: CTuple, val: Any

@@ -19,13 +19,16 @@ The algorithm (Fig. 6):
 Deterministic fixes from cRepair are protected and never overwritten.
 Complexity: O(δ1·|D|²·|Σ| + δ1·k·|D|²·size(Γ)) in the paper's analysis;
 the 2-in-1 entropy structure (Section 6.3) keeps per-fix maintenance at
-O(log |D|) per index.
+O(log |D|) per index.  The indexed path goes further: its shared group
+stores keep each group's entropy at O(1) per fix, and each round ranks
+only the groups popped as dirty, by the same key the AVL orders by —
+so a delta-scoped run never visits the untouched groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.dependency_graph import order_rules
 from repro.constraints.cfd import CFD
@@ -40,7 +43,7 @@ from repro.constraints.rules import (
 from repro.core.fixes import Fix, FixKind, FixLog
 from repro.core.trace import RoundTrace
 from repro.indexing.blocking import MDBlockingIndex
-from repro.indexing.entropy_index import EntropyIndex
+from repro.indexing.entropy_index import EntropyIndex, rank_conflicting
 from repro.indexing.group_store import GroupStoreRegistry
 from repro.indexing.violation_index import ViolationIndex
 from repro.relational.attribute import cell_changed
@@ -66,7 +69,7 @@ class _ERepair:
         master: Optional[Relation],
         delta1: int,
         delta2: float,
-        protected: Set[Tuple[int, str]],
+        protected: AbstractSet[Tuple[int, str]],
         fix_log: FixLog,
         top_l: int,
         use_suffix_tree: bool,
@@ -99,9 +102,11 @@ class _ERepair:
         if scope_tids is not None and not use_violation_index:
             raise ValueError("scoped (delta-driven) runs require the violation index")
         self.rules: List[AnyRule] = []
-        self.entropy_indexes: List[EntropyIndex] = []
+        #: Legacy (rescan) path only: one standalone entropy index per
+        #: variable-CFD rule position.  The indexed path ranks the groups
+        #: it pops as dirty on demand (:func:`rank_conflicting`).
+        self.entropy_indexes: Dict[int, EntropyIndex] = {}
         self.md_indexes: Dict[int, MDBlockingIndex] = {}
-        self.index_by_rule: Dict[int, EntropyIndex] = {}
         self.vindex: Optional[ViolationIndex] = None
         self.rebind_rules(order_rules(rules))
 
@@ -115,19 +120,12 @@ class _ERepair:
         """
         self.close()
         self.rules = list(rules)
-        self.entropy_indexes = []
+        self.entropy_indexes = {}
         self.md_indexes = {}
         for idx, rule in enumerate(self.rules):
             if isinstance(rule, VariableCFDRule):
-                if self._registry is not None:
-                    # Shared store: the entropy stats ride the grouping the
-                    # registry already maintains — the view only carries
-                    # the AVL, and no extra relation observer is needed.
-                    self.entropy_indexes.append(
-                        EntropyIndex(rule.cfd, store=self._registry.cfd_store(rule.cfd))
-                    )
-                else:
-                    self.entropy_indexes.append(EntropyIndex(rule.cfd, self.relation))
+                if not self._use_violation_index:
+                    self.entropy_indexes[idx] = EntropyIndex(rule.cfd, self.relation)
             elif isinstance(rule, MDRule):
                 if self.master is None:
                     raise ValueError(
@@ -141,12 +139,6 @@ class _ERepair:
                     top_l=self._top_l,
                     use_suffix_tree=self._use_suffix_tree,
                 )
-        self.index_by_rule = {}
-        position = 0
-        for idx, rule in enumerate(self.rules):
-            if isinstance(rule, VariableCFDRule):
-                self.index_by_rule[idx] = self.entropy_indexes[position]
-                position += 1
 
         # The indexed rule engine: dirty-partition work queues so each
         # round only revisits tuples touched since the rule last ran.
@@ -155,18 +147,15 @@ class _ERepair:
             if self._use_violation_index
             else None
         )
-        if self._registry is None:
-            for entropy_index in self.entropy_indexes:
-                self.relation.add_observer(entropy_index.on_cell_changed)
+        for entropy_index in self.entropy_indexes.values():
+            self.relation.add_observer(entropy_index.on_cell_changed)
 
     def close(self) -> None:
         """Detach all observers from the relation (idempotent)."""
         if self.vindex is not None:
             self.vindex.detach()
-        for entropy_index in self.entropy_indexes:
-            if self._registry is None:
-                self.relation.remove_observer(entropy_index.on_cell_changed)
-            entropy_index.detach()
+        for entropy_index in self.entropy_indexes.values():
+            self.relation.remove_observer(entropy_index.on_cell_changed)
 
     # ------------------------------------------------------------------
     # Cell mutation with index maintenance and bookkeeping
@@ -198,8 +187,9 @@ class _ERepair:
         if self.trace is not None:
             assert self._token is not None
             self.trace.tokens.append(self._token)
-        # set_value notifies the entropy indexes and the violation index,
-        # which queues the touched partitions for the next round.
+        # set_value notifies the group stores (or, on the legacy path,
+        # the entropy indexes); the violation index queues the touched
+        # partitions for the next round.
         self.relation.set_value(t, attr, value)
         self.change_count[cell] = self.change_count.get(cell, 0) + 1
         self.fixes_made += 1
@@ -212,33 +202,35 @@ class _ERepair:
         """Resolve low-entropy conflict groups to their majority value."""
         rule = self.rules[rule_idx]
         assert isinstance(rule, VariableCFDRule)
-        index = self.index_by_rule[rule_idx]
         rhs = rule.rhs_attr()
         changed = False
-        # Snapshot keys first: resolving mutates the index.  With the
-        # violation index, only partitions dirtied since this rule last
-        # ran are candidates — an unchanged group resolves (or fails to)
-        # exactly as it did before, so skipping it loses nothing.  The
-        # AVL (entropy, key) iteration order is preserved either way.
+        # Snapshot the candidates first: resolving mutates the groups.
+        # With the violation index, only partitions dirtied since this
+        # rule last ran are candidates — an unchanged group resolves (or
+        # fails to) exactly as it did before, so skipping it loses
+        # nothing — ranked on demand by the AVL key; the legacy path
+        # walks its AVL in order.  Both visit groups in the same order.
         if self.vindex is not None:
-            dirty = set(self.vindex.pop_dirty_keys(rule_idx))
-            candidates = [
-                (group.key, rank)
-                for rank, group in index.conflicting_entries()
-                if group.entropy < self.delta2 and group.key in dirty
-            ]
+            groups = self.vindex.partition(rule_idx).groups
+            ranked = rank_conflicting(
+                [groups[key] for key in self.vindex.pop_dirty_keys(rule_idx)],
+                self.delta2,
+            )
         else:
-            candidates = [
-                (group.key, rank)
+            index = self.entropy_indexes[rule_idx]
+            groups = index.store.groups
+            ranked = [
+                (rank, group)
                 for rank, group in index.conflicting_entries()
                 if group.entropy < self.delta2
             ]
+        candidates = [(group.key, rank) for rank, group in ranked]
         for key, rank in candidates:
             if self.trace is not None:
                 # The AVL ordering key at snapshot time — the content rank
                 # that positions this group among all shards' candidates.
                 self._token = (self.rounds, rule_idx, rank)
-            group = index.group(key)
+            group = groups.get(key)
             if group is None or group.entropy == 0.0:
                 continue  # already resolved as a side effect
             if not (group.entropy < self.delta2):
@@ -246,7 +238,7 @@ class _ERepair:
             majority_value, _count = group.majority()
             for tid in sorted(group.tids):
                 t = self.relation.by_tid(tid)
-                if t[rhs] == majority_value:
+                if not cell_changed(t[rhs], majority_value):
                     continue
                 if not self._may_change(t, rhs):
                     continue
@@ -272,7 +264,7 @@ class _ERepair:
                 self._token = (self.rounds, rule_idx, (t.tid,))
             if not rule.cfd.lhs_matches(t):
                 continue
-            if t[rhs] == constant:
+            if not cell_changed(t[rhs], constant):
                 continue
             if not self._may_change(t, rhs):
                 continue
@@ -294,7 +286,7 @@ class _ERepair:
             if match is None:
                 continue
             value = match[master_attr]
-            if t[rhs] == value:
+            if not cell_changed(t[rhs], value):
                 continue
             if not self._may_change(t, rhs):
                 continue
@@ -329,7 +321,7 @@ def erepair(
     master: Optional[Relation] = None,
     delta1: int = 3,
     delta2: float = 0.8,
-    protected: Optional[Set[Tuple[int, str]]] = None,
+    protected: Optional[AbstractSet[Tuple[int, str]]] = None,
     fix_log: Optional[FixLog] = None,
     top_l: int = 20,
     use_suffix_tree: bool = True,
@@ -366,9 +358,9 @@ def erepair(
         so master-side structures are built once.
     registry:
         Optional session-owned
-        :class:`~repro.indexing.group_store.GroupStoreRegistry`; shared
-        group stores back both the violation index and the entropy
-        indexes (one observer traversal per cell change for both).
+        :class:`~repro.indexing.group_store.GroupStoreRegistry`; its
+        shared group stores back the violation index, whose dirty
+        partitions eRepair ranks by entropy on demand.
     scope_tids:
         When given, seed round 1 with only these tuples instead of the
         whole relation — the delta-driven mode of

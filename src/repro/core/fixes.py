@@ -11,8 +11,20 @@ unchanged (Corollary 7.1).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.constraints.rules import RuleApplication
 
@@ -74,19 +86,57 @@ class FixLog:
     The log keeps every fix (a cell may be updated several times across
     phases) and tracks the *latest* mark per cell — the sign the user sees
     in the final repair.
+
+    Besides the ordered fixes it maintains, as it records, the views a
+    :class:`~repro.pipeline.session.CleaningSession` reads on every
+    apply — the deterministic cells, the ``(attr, new value)`` pairs the
+    log wrote, and each cell's fixes — so those reads are lookups and a
+    splice (:meth:`without_cells`, :meth:`without_tids`) visits only the
+    removed fixes.
     """
 
     def __init__(self) -> None:
         self._fixes: List[Fix] = []
+        #: Record number of each entry of ``_fixes``.  Strictly increasing,
+        #: so an entry's position is one bisection away, and it survives
+        #: splices (a pruned log keeps its survivors' numbers).
+        self._seqs: List[int] = []
+        self._next_seq = 0
         self._latest: Dict[Tuple[int, str], Fix] = {}
+        #: cell -> record numbers of its fixes, in log order.  Values are
+        #: immutable, so a splice can share them with its parent log.
+        self._cell_seqs: Dict[Tuple[int, str], Tuple[int, ...]] = {}
+        #: tid -> attributes of its fixed cells (immutable values).
+        self._tid_attrs: Dict[int, Tuple[str, ...]] = {}
+        #: Cells whose latest mark is deterministic (a dict for its live
+        #: key view).
+        self._deterministic: Dict[Tuple[int, str], None] = {}
+        #: (attr, new value) -> number of fixes writing it.
+        self._written: Dict[Tuple[str, Any], int] = {}
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def record(self, fix: Fix) -> Fix:
         """Append *fix* and update the per-cell mark."""
+        cell = fix.cell
+        seq = self._next_seq
+        self._next_seq = seq + 1
         self._fixes.append(fix)
-        self._latest[fix.cell] = fix
+        self._seqs.append(seq)
+        self._latest[cell] = fix
+        seqs = self._cell_seqs.get(cell)
+        if seqs is None:
+            self._cell_seqs[cell] = (seq,)
+            self._tid_attrs[fix.tid] = self._tid_attrs.get(fix.tid, ()) + (fix.attr,)
+        else:
+            self._cell_seqs[cell] = seqs + (seq,)
+        if fix.kind is FixKind.DETERMINISTIC:
+            self._deterministic[cell] = None
+        else:
+            self._deterministic.pop(cell, None)
+        pair = (fix.attr, fix.new_value)
+        self._written[pair] = self._written.get(pair, 0) + 1
         return fix
 
     def record_applications(
@@ -95,28 +145,90 @@ class FixLog:
         """Record many rule applications under one accuracy class."""
         return [self.record(Fix.from_application(kind, app)) for app in applications]
 
-    def without_tids(self, tids: Set[int]) -> "FixLog":
-        """A new log with every fix touching one of *tids* removed.
+    def copy(self) -> "FixLog":
+        """An independent log with the same fixes and views (container
+        copies only; the fixes themselves are immutable)."""
+        twin = FixLog.__new__(FixLog)
+        twin._fixes = self._fixes.copy()
+        twin._seqs = self._seqs.copy()
+        twin._next_seq = self._next_seq
+        twin._latest = self._latest.copy()
+        twin._cell_seqs = self._cell_seqs.copy()
+        twin._tid_attrs = self._tid_attrs.copy()
+        twin._deterministic = self._deterministic.copy()
+        twin._written = self._written.copy()
+        return twin
+
+    def without_tids(self, tids: Iterable[int]) -> "FixLog":
+        """The log with every fix touching one of *tids* removed.
 
         Used by :class:`~repro.pipeline.session.CleaningSession` when a
         changeset invalidates the history of the affected tuples: their
         fixes are replayed from scratch, everyone else's survive.  Order
-        of the surviving fixes is preserved.
+        of the surviving fixes is preserved.  Returns this log itself
+        when none of *tids* has a fix; otherwise a new log that shares no
+        mutable state with this one, which stays unchanged.
         """
-        pruned = FixLog()
-        for fix in self._fixes:
-            if fix.tid not in tids:
-                pruned.record(fix)
-        return pruned
+        tid_attrs = self._tid_attrs
+        return self._without(
+            [(tid, attr) for tid in tids for attr in tid_attrs.get(tid, ())]
+        )
 
-    def without_cells(self, cells: Set[Tuple[int, str]]) -> "FixLog":
-        """A new log with every fix to one of *cells* removed (the
+    def without_cells(self, cells: Iterable[Tuple[int, str]]) -> "FixLog":
+        """The log with every fix to one of *cells* removed (the
         cell-granular counterpart of :meth:`without_tids`, used when a
-        delta replay re-derives individual perturbed cells)."""
-        pruned = FixLog()
-        for fix in self._fixes:
-            if fix.cell not in cells:
-                pruned.record(fix)
+        delta replay re-derives individual perturbed cells).  Returns
+        this log itself when none of *cells* has a fix."""
+        cell_seqs = self._cell_seqs
+        return self._without([cell for cell in cells if cell in cell_seqs])
+
+    def _without(self, cells: List[Tuple[int, str]]) -> "FixLog":
+        """Splice out every fix of *cells* (distinct, each with a fix).
+
+        Costs one container copy plus work proportional to the removed
+        fixes.  Every fix of a removed cell goes, so each surviving
+        cell's latest mark — and with it the deterministic view — is
+        the parent's.
+        """
+        if not cells:
+            return self
+        seqs = self._seqs
+        drop = sorted(
+            bisect_left(seqs, seq) for cell in cells for seq in self._cell_seqs[cell]
+        )
+        pruned = self.copy()
+        fixes = self._fixes
+        kept: List[Fix] = []
+        kept_seqs: List[int] = []
+        start = 0
+        for pos in drop:
+            kept += fixes[start:pos]
+            kept_seqs += seqs[start:pos]
+            start = pos + 1
+        kept += fixes[start:]
+        kept_seqs += seqs[start:]
+        pruned._fixes = kept
+        pruned._seqs = kept_seqs
+        written = pruned._written
+        for pos in drop:
+            fix = fixes[pos]
+            pair = (fix.attr, fix.new_value)
+            left = written[pair] - 1
+            if left:
+                written[pair] = left
+            else:
+                del written[pair]
+        tid_attrs = pruned._tid_attrs
+        for cell in cells:
+            del pruned._latest[cell]
+            del pruned._cell_seqs[cell]
+            pruned._deterministic.pop(cell, None)
+            tid, attr = cell
+            rest = tuple(a for a in tid_attrs[tid] if a != attr)
+            if rest:
+                tid_attrs[tid] = rest
+            else:
+                del tid_attrs[tid]
         return pruned
 
     # ------------------------------------------------------------------
@@ -149,9 +261,21 @@ class FixLog:
         """The latest fix of cell ``(tid, attr)``, or ``None``."""
         return self._latest.get((tid, attr))
 
-    def deterministic_cells(self) -> Set[Tuple[int, str]]:
-        """Cells hRepair must preserve (Corollary 7.1)."""
-        return self.marked_cells(FixKind.DETERMINISTIC)
+    def deterministic_cells(self) -> AbstractSet[Tuple[int, str]]:
+        """Cells hRepair must preserve (Corollary 7.1): those whose
+        latest mark is deterministic, as a live read-only set view."""
+        return self._deterministic.keys()
+
+    def fixed_cells(self) -> AbstractSet[Tuple[int, str]]:
+        """Every cell with at least one fix, as a live read-only set view
+        (the key set of :meth:`marked_cells` without the copy)."""
+        return self._latest.keys()
+
+    def written_pairs(self) -> AbstractSet[Tuple[str, Any]]:
+        """Every ``(attr, new value)`` pair some fix wrote, as a live
+        read-only set view.  Membership is dict-key equality: identity
+        first, so one NaN object matches itself."""
+        return self._written.keys()
 
     def counts(self) -> Dict[FixKind, int]:
         """Number of fixes per class (by event, not by cell)."""

@@ -38,7 +38,19 @@ classes or upgrades a target, so the measure ``(#classes descending,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.constraints.cfd import CFD
 from repro.constraints.md import MD
@@ -92,16 +104,23 @@ class HRepairResult:
 
 
 class _UnionFind:
-    """Union-find over cells, with per-root member lists."""
+    """Union-find over cells, with per-root member lists.
 
-    def __init__(self) -> None:
+    A cell becomes a singleton class when :meth:`find` first meets it;
+    *on_new*, when given, is called with the cell right then.
+    """
+
+    def __init__(self, on_new: Optional[Callable[[Cell], None]] = None) -> None:
         self._parent: Dict[Cell, Cell] = {}
         self._members: Dict[Cell, List[Cell]] = {}
+        self._on_new = on_new
 
     def find(self, cell: Cell) -> Cell:
         if cell not in self._parent:
             self._parent[cell] = cell
             self._members[cell] = [cell]
+            if self._on_new is not None:
+                self._on_new(cell)
             return cell
         root = cell
         while self._parent[root] != root:
@@ -130,7 +149,7 @@ class _HRepair:
         relation: Relation,
         rules: Sequence[AnyRule],
         master: Optional[Relation],
-        protected: Set[Cell],
+        protected: AbstractSet[Cell],
         fix_log: FixLog,
         top_l: int,
         use_suffix_tree: bool,
@@ -155,7 +174,7 @@ class _HRepair:
         self._token: Optional[Tuple] = None
         if scope_tids is not None and not use_violation_index:
             raise ValueError("scoped (delta-driven) runs require the violation index")
-        self.uf = _UnionFind()
+        self.uf = _UnionFind(self._freeze_if_protected)
         self.targets: Dict[Cell, Tuple] = {}  # root -> target
         #: Lazily built per-run memo of cell costs keyed by interned refs
         #: (vectorized engine only).
@@ -184,11 +203,15 @@ class _HRepair:
             else None
         )
 
-        # Freeze classes of protected (deterministic) cells at their value.
-        for cell in protected:
+    def _freeze_if_protected(self, cell: Cell) -> None:
+        """Freeze a protected (deterministic) cell's class at its value
+        when the union-find first meets the cell.  Exact: hRepair never
+        writes a protected cell, so its value then is its value at the
+        start, and class member order depends only on the sequence of
+        unions — so a run only pays for the protected cells it reaches."""
+        if cell in self.protected:
             tid, attr = cell
-            root = self.uf.find(cell)
-            self.targets[root] = ("frozen", self.relation.by_tid(tid)[attr])
+            self.targets[cell] = ("frozen", self.relation.by_tid(tid)[attr])
 
     def close(self) -> None:
         """Detach the violation index from the relation (idempotent)."""
@@ -327,7 +350,7 @@ class _HRepair:
             if not rule.cfd.lhs_matches(t):
                 continue
             current = t[rhs]
-            if not is_null(current) and current == constant:
+            if not is_null(current) and not cell_changed(current, constant):
                 continue
             cell = (t.tid, rhs)
             signature = ("c", rule.name, t.tid)
@@ -335,7 +358,7 @@ class _HRepair:
                 continue
             target = self._target(cell)
             if target[0] == "frozen":
-                if target[1] == constant:
+                if not cell_changed(target[1], constant):
                     continue
                 if not self._break_premise(t, rule.cfd.lhs, rule.name):
                     self.unresolved.add(signature)
@@ -344,7 +367,7 @@ class _HRepair:
                 continue
             if target[0] == "null":
                 continue  # already tombstoned; null satisfies the check
-            if target[0] == "const" and target[1] != constant:
+            if target[0] == "const" and cell_changed(target[1], constant):
                 self._set_target(cell, _NULL, rule.name)
             else:
                 self._set_target(cell, _const(constant), rule.name)
@@ -685,7 +708,11 @@ class _HRepair:
             if not demanded:
                 continue
             current = t[rhs]
-            if len(demanded) == 1 and not is_null(current) and current == demanded[0]:
+            if (
+                len(demanded) == 1
+                and not is_null(current)
+                and not cell_changed(current, demanded[0])
+            ):
                 continue
             if is_null(current):
                 if len(demanded) > 1 or self._target((t.tid, rhs))[0] == "null":
@@ -696,7 +723,7 @@ class _HRepair:
                 continue
             target = self._target(cell)
             if target[0] == "frozen":
-                if len(demanded) == 1 and target[1] == demanded[0]:
+                if len(demanded) == 1 and not cell_changed(target[1], demanded[0]):
                     continue
                 if not self._break_premise(t, rule.md.lhs_attrs(), rule.name):
                     self.unresolved.add(signature)
@@ -711,7 +738,7 @@ class _HRepair:
             value = demanded[0]
             if target[0] == "null":
                 continue
-            if target[0] == "const" and target[1] != value:
+            if target[0] == "const" and cell_changed(target[1], value):
                 self._set_target(cell, _NULL, rule.name)
             else:
                 self._set_target(cell, _const(value), rule.name)
@@ -754,7 +781,10 @@ def cfd_satisfied_with_nulls(relation: Relation, cfd: CFD) -> bool:
             for t in relation:
                 if not normalized.lhs_matches(t):
                     continue
-                if not is_null(t[rhs]) and t[rhs] != normalized.rhs_constant:
+                value = t[rhs]
+                if not is_null(value) and cell_changed(
+                    value, normalized.rhs_constant
+                ):
                     return False
         else:
             groups: Dict[Tuple[Any, ...], Set[Any]] = {}
@@ -791,14 +821,18 @@ def md_satisfied_with_nulls(relation: Relation, master: Relation, md: MD) -> boo
                 if any(is_null(v) for v in key):
                     continue
                 for s in index.lookup(key):
-                    if normalized.premise_holds(t, s) and t[rhs] != s[master_attr]:
+                    if normalized.premise_holds(t, s) and cell_changed(
+                        t[rhs], s[master_attr]
+                    ):
                         return False
         else:
             for t in relation:
                 if is_null(t[rhs]):
                     continue
                 for s in master:
-                    if normalized.premise_holds(t, s) and t[rhs] != s[master_attr]:
+                    if normalized.premise_holds(t, s) and cell_changed(
+                        t[rhs], s[master_attr]
+                    ):
                         return False
     return True
 
@@ -825,7 +859,7 @@ def hrepair(
     cfds: Sequence[CFD] = (),
     mds: Sequence[MD] = (),
     master: Optional[Relation] = None,
-    protected: Optional[Set[Cell]] = None,
+    protected: Optional[AbstractSet[Cell]] = None,
     fix_log: Optional[FixLog] = None,
     top_l: int = 20,
     use_suffix_tree: bool = True,

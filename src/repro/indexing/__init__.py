@@ -4,13 +4,14 @@
   similarity search (Section 5.2).
 * :class:`AVLTree` — the balanced tree underlying the entropy structure.
 * :class:`EntropyIndex` — the 2-in-1 hash-table + AVL structure per
-  variable CFD (Section 6.3).
+  variable CFD (Section 6.3); :func:`rank_conflicting` ranks any set of
+  groups by its AVL key on demand (eRepair's indexed path).
 * :class:`ExactIndex` / :class:`MDBlockingIndex` — equality and
   similarity blocking for MDs against master data.
 * :class:`CFDGroupStore` / :class:`MDGroupStore` /
   :class:`GroupStoreRegistry` — shared LHS-keyed group stores: one
-  grouping per rule spec, fanned out to every consumer (the entropy
-  index and the violation index of the same CFD share one store).
+  grouping per rule spec, fanned out to every consumer (the violation
+  index of every phase and the session's delta closure).
 * :class:`ViolationIndex` — per-rule inverted partition indexes with
   dirty work queues, powering incremental violation detection across all
   three repair phases (see ``docs/architecture.md``).
@@ -18,7 +19,12 @@
 
 from repro.indexing.avl import AVLTree
 from repro.indexing.blocking import ExactIndex, MDBlockingIndex, build_md_indexes
-from repro.indexing.entropy_index import EntropyIndex, GroupStats, entropy_of_counts
+from repro.indexing.entropy_index import (
+    EntropyIndex,
+    GroupStats,
+    entropy_of_counts,
+    rank_conflicting,
+)
 from repro.indexing.group_store import (
     CFDGroupStore,
     GroupStoreRegistry,
@@ -42,4 +48,5 @@ __all__ = [
     "ViolationIndex",
     "build_md_indexes",
     "entropy_of_counts",
+    "rank_conflicting",
 ]

@@ -9,18 +9,17 @@ For a variable CFD ``φ = R(Y → B, tp)`` the structure keeps, per group
   ``(entropy, ȳ, smallest member tid)``, giving O(log |T|)
   minimum-entropy retrieval and maintenance after each fix.
 
-The hash-table side now lives in a shared
-:class:`~repro.indexing.group_store.CFDGroupStore` — the same grouping
-the violation index partitions by — so a cell change walks the LHS
-grouping once for both consumers.  :class:`EntropyIndex` is the AVL
-*view* over that store:
-
-* **standalone** (``EntropyIndex(cfd, relation)``) it owns a private
-  store and exposes the classic mutator API (``add_tuple`` /
-  ``remove_tuple`` / ``update_cell`` / ``on_cell_changed``);
-* **shared** (``EntropyIndex(cfd, store=...)``) it registers as an entry
-  view on a registry-owned store and only *reads*; mutations arrive via
-  the registry's relation observer, and the mutator API raises.
+The hash-table side lives in a private
+:class:`~repro.indexing.group_store.CFDGroupStore` (the same grouping
+the violation index partitions by); :class:`EntropyIndex` is the AVL
+*view* over it, fed by the store's ``group_will_change`` /
+``group_changed`` hooks, with the classic mutator API (``add_tuple`` /
+``remove_tuple`` / ``update_cell`` / ``on_cell_changed``).  It is the
+legacy (rescan) eRepair path's index and the oracle of
+:func:`rank_conflicting`, the on-demand ranking the indexed path runs
+over the session's shared stores: the AVL key is unique per group, so
+sorting any set of groups by it reproduces the in-order walk restricted
+to them.
 
 The entropy of φ for ``Y = ȳ`` (Section 6.1) is::
 
@@ -33,7 +32,8 @@ conflict-free group (k = 1) has entropy 0.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.constraints.cfd import CFD
 from repro.exceptions import ConstraintError
@@ -47,7 +47,49 @@ from repro.indexing.group_store import (
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
-__all__ = ["EntropyIndex", "GroupStats", "entropy_of_counts"]
+__all__ = [
+    "EntropyIndex",
+    "GroupStats",
+    "entropy_of_counts",
+    "entropy_rank",
+    "rank_conflicting",
+]
+
+Rank = Tuple[float, Tuple, int]
+
+
+def entropy_rank(group: GroupStats) -> Rank:
+    """The AVL key of *group*: ``(H, sort_key(ȳ), smallest member tid)``.
+
+    The smallest member tid breaks ties between distinct keys whose sort
+    keys coincide (two NaN objects print alike), so the key is unique
+    per group and stable across processes.
+    """
+    return (
+        group.entropy,
+        tuple(_sort_key(v) for v in group.key),
+        min(group.tids),
+    )
+
+
+def rank_conflicting(
+    groups: Iterable[GroupStats], below: float
+) -> List[Tuple[Rank, GroupStats]]:
+    """``(rank, group)`` for each of *groups* with ``0 < H < below``, in
+    increasing :func:`entropy_rank` order.
+
+    Equal to walking an :class:`EntropyIndex` over the same store in
+    order and keeping those groups (ranks are unique), at a cost
+    proportional to *groups* instead of to the whole grouping — how
+    eRepair's indexed path ranks the groups it pops as dirty.
+    """
+    ranked = [
+        (entropy_rank(group), group)
+        for group in groups
+        if 0.0 < group.entropy < below
+    ]
+    ranked.sort(key=itemgetter(0))
+    return ranked
 
 
 class EntropyIndex:
@@ -60,11 +102,6 @@ class EntropyIndex:
     relation:
         Optional relation to bulk-load (one scan, as in the paper:
         "initialization ... can be done by scanning the database D once").
-        Ignored when *store* is given (the store is already loaded).
-    store:
-        Optional shared :class:`CFDGroupStore` (from a
-        :class:`~repro.indexing.group_store.GroupStoreRegistry`) to view
-        instead of owning a private grouping.
 
     Notes
     -----
@@ -73,57 +110,27 @@ class EntropyIndex:
     them.
     """
 
-    def __init__(
-        self,
-        cfd: CFD,
-        relation: Optional[Relation] = None,
-        store: Optional[CFDGroupStore] = None,
-    ):
+    def __init__(self, cfd: CFD, relation: Optional[Relation] = None):
         if not cfd.is_variable:
             raise ConstraintError(f"{cfd.name} is not a normalized variable CFD")
         self.cfd = cfd
-        self._shared = store is not None
-        self._store = store if store is not None else CFDGroupStore(cfd)
+        self._store = CFDGroupStore(cfd)
         self._tree: AVLTree = AVLTree()
         self._store.entry_views.append(self)
-        if self._shared:
-            self._rebuild_tree()
-        elif relation is not None:
+        if relation is not None:
             self.build(relation)
 
     @property
     def store(self) -> CFDGroupStore:
-        """The backing group store (shared or private)."""
+        """The backing group store."""
         return self._store
-
-    def detach(self) -> None:
-        """Stop viewing the backing store (idempotent).
-
-        Required for shared stores when the consuming phase finishes, so
-        the registry-owned store does not keep notifying a dead view.
-        """
-        try:
-            self._store.entry_views.remove(self)
-        except ValueError:
-            pass
-
-    def _require_private(self, op: str) -> None:
-        if self._shared:
-            raise RuntimeError(
-                f"EntropyIndex.{op} is unavailable on a shared group store: "
-                "mutations arrive via the registry's relation observer"
-            )
 
     # ------------------------------------------------------------------
     # Bulk construction
     # ------------------------------------------------------------------
     def build(self, relation: Relation) -> None:
         """(Re)build from *relation* in one scan."""
-        self._require_private("build")
         self._store.build(relation)
-        self._rebuild_tree()
-
-    def _rebuild_tree(self) -> None:
         self._tree = AVLTree()
         for group in self._store.groups.values():
             self._tree_insert(group)
@@ -131,23 +138,13 @@ class EntropyIndex:
     # ------------------------------------------------------------------
     # AVL maintenance (entry-view hooks fired by the store)
     # ------------------------------------------------------------------
-    def _tree_key(self, group: GroupStats) -> Tuple[float, Tuple, int]:
-        # The smallest member tid breaks ties between distinct keys whose
-        # sort keys coincide (two NaN objects print alike): unique per
-        # group and stable across processes.
-        return (
-            group.entropy,
-            tuple(_sort_key(v) for v in group.key),
-            min(group.tids),
-        )
-
     def _tree_insert(self, group: GroupStats) -> None:
         if group.entropy != 0.0:
-            self._tree.insert(self._tree_key(group), group.key)
+            self._tree.insert(entropy_rank(group), group.key)
 
     def _tree_remove(self, group: GroupStats) -> None:
         if group.entropy != 0.0:
-            self._tree.delete(self._tree_key(group))
+            self._tree.delete(entropy_rank(group))
 
     def group_will_change(self, group: GroupStats) -> None:
         """Store hook: *group* is about to mutate — unslot it at its
@@ -160,16 +157,14 @@ class EntropyIndex:
             self._tree_insert(group)
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (standalone stores only)
+    # Incremental maintenance
     # ------------------------------------------------------------------
     def add_tuple(self, t: CTuple) -> None:
         """Register tuple *t* (no-op when its Y does not match the pattern)."""
-        self._require_private("add_tuple")
         self._store.on_insert(t)
 
     def remove_tuple(self, t: CTuple) -> None:
         """Unregister tuple *t* using its *current* attribute values."""
-        self._require_private("remove_tuple")
         self._store.on_delete(t)
 
     def update_cell(self, t: CTuple, attr: str, new_value: Any) -> None:
@@ -179,7 +174,6 @@ class EntropyIndex:
         needs the old values to locate the tuple's current group).  When
         *attr* is unrelated to this CFD the call is a no-op.
         """
-        self._require_private("update_cell")
         if not self._store.relevant(attr):
             return
         old_value = t[attr]
@@ -193,7 +187,6 @@ class EntropyIndex:
 
     def on_cell_changed(self, t: CTuple, attr: str, old: Any, new: Any) -> None:
         """Post-mutation adapter for ``Relation.add_observer``."""
-        self._require_private("on_cell_changed")
         self._store.on_cell_changed(t, attr, old, new)
 
     # ------------------------------------------------------------------
@@ -228,7 +221,7 @@ class EntropyIndex:
         """Groups with non-zero entropy, in increasing entropy order."""
         return [group for _rank, group in self.conflicting_entries()]
 
-    def conflicting_entries(self) -> List[Tuple[Tuple[float, Tuple, int], GroupStats]]:
+    def conflicting_entries(self) -> List[Tuple[Rank, GroupStats]]:
         """``(AVL key, group)`` for every group with non-zero entropy, in
         increasing key order.  The key ``(H, sort_key(ȳ), min tid)`` is
         the group's rank among eRepair's candidates."""

@@ -8,20 +8,21 @@ the hottest path of the pipeline.  The stores below maintain one grouping
 per distinct CFD spec ``(R, X, tp[X], B)`` and fan the single traversal
 out to every consumer:
 
-* **entry views** (:class:`EntropyIndex` registers as one) get
-  ``group_will_change`` / ``group_changed`` callbacks around each group
-  mutation, which is exactly what an ``(entropy, key)``-ordered AVL
-  needs to re-slot a group;
 * **change listeners** (the :class:`ViolationIndex` dirtiness marking,
-  the session's influence tracker) get one ``(t, old_key, new_key)``
-  notification per relevant cell change / insert / delete.
+  the session's group-key tracking) get one ``(t, old_key, new_key)``
+  notification per relevant cell change / insert / delete;
+* **entry views** get ``group_will_change`` / ``group_changed``
+  callbacks around each group mutation, which is exactly what an
+  ``(entropy, key)``-ordered AVL needs to re-slot a group — only a
+  standalone :class:`EntropyIndex` registers one, on its private store
+  (eRepair's indexed path ranks dirty groups on demand instead).
 
 A :class:`GroupStoreRegistry` owns the stores of one relation, attaches a
 single relation observer, and dispatches each event to the stores whose
 scope contains the changed attribute.  Stores are shared: asking for the
 store of two CFDs with the same spec (or twice for the same CFD, as the
-violation index and the entropy index do) yields the same object, built
-once.  :class:`~repro.pipeline.session.CleaningSession` keeps a registry
+violation indexes of successive phases do) yields the same object,
+built once.  :class:`~repro.pipeline.session.CleaningSession` keeps a registry
 alive across ``clean()``/``apply()`` calls, which is what makes
 delta-driven re-cleaning possible without any index rebuild.
 """
@@ -181,7 +182,8 @@ class CFDGroupStore:
         #: collision detection needs to retain anyway.
         self._interned: Dict[Key, Key] = {}
         #: Objects with ``group_will_change(group)`` / ``group_changed(group)``,
-        #: called around every group mutation (EntropyIndex AVL maintenance).
+        #: called around every group mutation (a standalone EntropyIndex's
+        #: AVL maintenance; registry stores have none).
         self.entry_views: List[Any] = []
         #: Callables ``(t, old_key, new_key)`` fired once per relevant cell
         #: change / insert / delete (violation-index dirtiness, influence
@@ -547,9 +549,9 @@ class GroupStoreRegistry:
     -----
     Stores are keyed by *spec*, not by constraint object: two CFDs with
     identical ``(schema, X, tp[X], B)`` share one store, and — the case
-    that matters on the hot path — the violation index's partition and
-    the entropy index of the *same* CFD resolve to the same store, so a
-    cell change walks the grouping once instead of twice.
+    that matters on the hot path — every phase's violation index (and
+    through it eRepair's entropy ranking) resolves the *same* CFD to the
+    same store, so a cell change walks the grouping once.
     """
 
     def __init__(self, relation: Relation, attach: bool = True):

@@ -16,9 +16,10 @@ Partition state lives in shared group stores
   ``t[X] ≍ tp[X]``) to the member tids and RHS value counts, plus the
   inverse ``tid → x̄`` map.  A violation of the CFD can only involve
   tuples of a single partition, so partitions are the unit of
-  (re)checking.  The *same* store backs the
-  :class:`~repro.indexing.entropy_index.EntropyIndex` of the CFD, so a
-  cell change walks the grouping once for both consumers.
+  (re)checking.  eRepair ranks the dirty partitions it pops by the
+  entropy their :class:`~repro.indexing.group_store.GroupStats` cache
+  (:func:`~repro.indexing.entropy_index.rank_conflicting`), so a cell
+  change walks the grouping once for every consumer.
 * **MD rule** — an :class:`MDGroupStore` over the data side: the live
   tids and the scope-attribute changes that dirty them (checks are per
   tuple, so there is nothing to group); master data is immutable, so

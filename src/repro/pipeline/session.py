@@ -12,8 +12,8 @@ A session binds rules and master data once and owns all shared state:
 * the master-side MD blocking indexes and their match cache (master data
   is immutable, so these persist across every ``clean``/``apply``);
 * a :class:`~repro.indexing.group_store.GroupStoreRegistry` on the
-  working relation — the LHS-keyed groupings that back both the
-  violation index and the entropy indexes of every phase;
+  working relation — the LHS-keyed groupings (with each group's value
+  counts and entropy) that back the violation index of every phase;
 * the merged :class:`~repro.core.fixes.FixLog` and the base (dirty)
   relation the repair is defined against, plus — from the first
   ``apply`` on — the base relation's variable-CFD groupings, which the
@@ -81,7 +81,28 @@ Cell = Tuple[int, str]
 
 @dataclass
 class ApplyResult:
-    """The outcome of one :meth:`CleaningSession.apply` call."""
+    """The outcome of one :meth:`CleaningSession.apply` call.
+
+    ``full_reclean_reason`` says why an apply took the warm full replay:
+    ``None`` on a scoped apply, otherwise ``(reason, witness)`` with
+
+    * ``("insert", None)`` — the changeset inserts a tuple;
+    * ``("legacy_engine", None)`` — ``use_violation_index=False``;
+    * ``("premise_cell", (tid, attr))`` — a perturbed cell sits on a
+      variable-CFD premise;
+    * ``("transit", (attr, value))`` — a perturbed group's key holds a
+      value the superseded run wrote into that premise attribute;
+    * ``("evolved_membership", (mate, attr))`` — a perturbed group's
+      member had that premise cell rewritten by the superseded run;
+    * ``("escaped_write", (tid, attr))`` — the scoped replay wrote (or
+      cRepair would provide to) a cell outside the perturbed set (the
+      smallest such cell).
+
+    The reason is a function of the session state and the changeset
+    alone (the closure walks its seeds in sorted order).  A
+    :class:`~repro.pipeline.sharding.ShardedCleaningSession` leaves it
+    ``None``: its shards decide per shard.
+    """
 
     repaired: Relation
     fix_log: FixLog
@@ -95,6 +116,7 @@ class ApplyResult:
     replays: int
     full_reclean: bool = False
     timings: Dict[str, float] = field(default_factory=dict)
+    full_reclean_reason: Optional[Tuple[str, Any]] = None
 
     @property
     def total_time(self) -> float:
@@ -583,7 +605,8 @@ class CleaningSession:
                 time.perf_counter() - started
             )
 
-        protected: Set[Cell] = log.deterministic_cells()
+        # A live view: the later phases never re-mark a protected cell.
+        protected = log.deterministic_cells()
 
         if config.run_erepair:
             started = time.perf_counter()
@@ -678,23 +701,21 @@ class CleaningSession:
             timings["setup"] = time.perf_counter() - started
         started = time.perf_counter()
 
-        if (
-            not self.config.use_violation_index
-            or self.registry is None
+        if not self.config.use_violation_index or self.registry is None:
+            changeset.apply_to(self.base)
+            return self._full_replay(timings, ("legacy_engine", None))
+        if any(isinstance(op, Insert) for op in changeset.ops):
             # Inserts change group composition outright — the scoped
             # locality argument does not cover them, so skip the delta
             # pre-processing the full replay would discard anyway.
-            or any(isinstance(op, Insert) for op in changeset.ops)
-        ):
             changeset.apply_to(self.base)
-            return self._full_replay(timings)
+            return self._full_replay(timings, ("insert", None))
 
         pre_apply_log = self.fix_log
         schema_attrs = tuple(self.working.schema.names)
 
         # --- Seed the perturbed-cell set -------------------------------
         seeds: Set[Cell] = set()
-        unsafe = False
         # A from-scratch run groups tuples by their *base* keys: capture
         # the base groups an edited/deleted tuple is leaving before the
         # base mutates.
@@ -718,25 +739,29 @@ class CleaningSession:
             if self.working.has_tid(tid):
                 self.working.remove(tid)  # observers keep stores coherent
         seeds = {(tid, attr) for tid, attr in seeds if tid not in dead}
-        log = pre_apply_log.without_tids(dead) if dead else pre_apply_log
+        log = pre_apply_log.without_tids(dead)
         self.fix_log = log
         for tid in dead:
             for attr in schema_attrs:
                 self._cell_costs.pop((tid, attr), None)
 
         perturbed: Set[Cell] = set()
-        if not unsafe and seeds:
-            perturbed, safe = self._perturb_closure(seeds, pre_apply_log)
-            unsafe = not safe
+        reason: Optional[Tuple[str, Any]] = None
+        if seeds:
+            perturbed, reason = self._perturb_closure(seeds, pre_apply_log)
         timings["delta"] = time.perf_counter() - started
-        if unsafe:
-            return self._full_replay(timings)
+        if reason is not None:
+            return self._full_replay(timings, reason)
 
         c_result = e_result = h_result = None
         if perturbed:
             started = time.perf_counter()
             self._revert_cells(perturbed)
-            log = pre_apply_log.without_tids(dead).without_cells(perturbed)
+            log = log.without_cells(perturbed)
+            if log is pre_apply_log:
+                # The replay must not record into the log an earlier
+                # result handed out.
+                log = log.copy()
             scope = sorted({tid for tid, _attr in perturbed})
             timings["delta"] += time.perf_counter() - started
             escaped: Set[Cell] = set()
@@ -749,13 +774,14 @@ class CleaningSession:
                 )
             finally:
                 self.working.remove_observer(watch)
+            self.fix_log = log
             if escaped:
                 # A replay fix reached beyond the perturbed set (premise
                 # break, provision to an out-of-scope tuple): the
                 # locality argument is void — replay everything.
-                self.fix_log = log
-                return self._full_replay(timings)
-            self.fix_log = log
+                return self._full_replay(
+                    timings, ("escaped_write", min(escaped))
+                )
 
         started = time.perf_counter()
         # Incremental cost: contributions change only for perturbed /
@@ -822,8 +848,11 @@ class CleaningSession:
             raise DataError("CleaningSession.apply_many() requires a prior clean()")
         return self.apply(Changeset.concat(changesets))
 
-    def _full_replay(self, timings: Dict[str, float]) -> ApplyResult:
-        """Exact fallback: re-clean the edited base inside the session.
+    def _full_replay(
+        self, timings: Dict[str, float], reason: Tuple[str, Any]
+    ) -> ApplyResult:
+        """Exact fallback: re-clean the edited base inside the session
+        (*reason* is reported as ``full_reclean_reason``).
 
         Equivalent to a from-scratch ``clean()`` by construction, but the
         master-side blocking indexes and match cache stay warm — the
@@ -847,15 +876,12 @@ class CleaningSession:
             replays=0,
             full_reclean=True,
             timings=merged,
+            full_reclean_reason=reason,
         )
-
-    def _live_tids(self) -> Set[int]:
-        assert self.base is not None
-        return set(self.base.tids())
 
     def _perturb_closure(
         self, seeds: Set[Cell], superseded: FixLog
-    ) -> Tuple[Set[Cell], bool]:
+    ) -> Tuple[Set[Cell], Optional[Tuple[str, Any]]]:
         """The perturbed-cell closure of *seeds*, with a safety verdict.
 
         Propagation: a perturbed cell in a per-tuple rule's scope
@@ -873,31 +899,38 @@ class CleaningSession:
         perturbed group's key holds a value that run wrote into a premise
         attribute — the only way a tuple can enter a group mid-run, so a
         tuple may have passed through the group and left again.  Returns
-        ``(perturbed, safe)``; an unsafe closure is abandoned eagerly.
+        ``(perturbed, None)`` when safe, else ``(partial, reason)`` with
+        the first unsafe condition met (see :class:`ApplyResult`); an
+        unsafe closure is abandoned eagerly.  Every test is a lookup in
+        the stores, the base or the superseded log's maintained views,
+        so the walk costs O(closure), never O(|D|) or O(|log|).
         """
         var_lhs = self._var_lhs_attrs
-        fixed_cells: Set[Cell] = set()
-        # (attr, value) pairs: set membership is the group stores' own key
+        fixed_cells = superseded.fixed_cells()
+        # (attr, value) pairs: membership is the group stores' own key
         # equality (identity first, so one NaN object matches itself).
-        premise_writes: Set[Tuple[str, Any]] = set()
-        for fix in superseded:
-            fixed_cells.add(fix.cell)
-            if fix.attr in var_lhs:
-                premise_writes.add((fix.attr, fix.new_value))
-        live = self._live_tids()
+        # Every pair tested below has a premise attribute.
+        premise_writes = superseded.written_pairs()
+        is_live = self.base.has_tid
         perturbed: Set[Cell] = set()
         processed: Set[Cell] = set()
-        stack = list(seeds)
+        # A group's walk depends on the group alone, so each is walked
+        # once, not once per member cell (quadratic in the group size).
+        walked: Set[Tuple[CFDGroupStore, Tuple]] = set()
+        # Sorted: the first unsafe condition met (the reported reason)
+        # must not depend on the string-hash seed.
+        stack = sorted(seeds)
         while stack:
             cell = stack.pop()
             if cell in processed:
                 continue
             processed.add(cell)
             tid, attr = cell
-            if tid not in live:
+            if not is_live(tid):
                 continue
             if attr in var_lhs:
-                return perturbed, False  # premise cell: membership changes
+                # Premise cell: membership changes.
+                return perturbed, ("premise_cell", cell)
             perturbed.add(cell)
             for rhs in self._pt_rhs_by_attr.get(attr, ()):
                 if (tid, rhs) not in processed:
@@ -909,25 +942,27 @@ class CleaningSession:
                     continue
                 for store in (wstore, bstore):
                     key = store.key_of.get(tid)
-                    if key is None:
+                    if key is None or (store, key) in walked:
                         continue
+                    walked.add((store, key))
                     for y, value in zip(lhs, key):
                         if (y, value) in premise_writes:
                             # A tuple may have passed through the group.
-                            return perturbed, False
+                            return perturbed, ("transit", (y, value))
                     group = store.groups.get(key)
                     if group is None:
                         continue
                     for mate in group.tids:
-                        if mate not in live:
+                        if not is_live(mate):
                             continue
                         for y in lhs:
                             if (mate, y) in fixed_cells:
-                                return perturbed, False  # membership evolved
+                                # Membership evolved.
+                                return perturbed, ("evolved_membership", (mate, y))
                         mate_cell = (mate, rhs)
                         if mate_cell not in processed:
                             stack.append(mate_cell)
-        return perturbed, True
+        return perturbed, None
 
     def _revert_cells(self, perturbed: Set[Cell]) -> None:
         """Restore every perturbed cell to its base value and confidence

@@ -2092,11 +2092,11 @@ class ShardedCleaningSession:
         for tid in dead:
             self._drop_dead_tid(tid)
 
-        log = self.fix_log
-        if dead:
-            log = log.without_tids(dead)
-        if perturbed:
-            log = log.without_cells(perturbed)
+        log = self.fix_log.without_tids(dead).without_cells(perturbed)
+        if log is self.fix_log:
+            # Nothing was spliced out: record into a copy, not into the
+            # log an earlier result handed out.
+            log = log.copy()
         for fix in self._merge_apply_segments(outcomes):
             log.record(fix)
         self.fix_log = log

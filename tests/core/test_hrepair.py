@@ -189,3 +189,48 @@ class TestNullSemantics:
         master = Relation.from_dicts(schema, [{"K": "k", "V": "m"}])
         relation = Relation.from_dicts(schema, [{"K": "k", "V": NULL}])
         assert md_satisfied_with_nulls(relation, master, md)
+
+
+class TestLazyFreeze:
+    """A protected cell's class is frozen when the union-find first meets
+    it, not up front: a conflicting group holding the cell, and an MD
+    whose target it is, must still see it frozen at its value."""
+
+    SCHEMA = Schema("R", ["K", "V", "W"])
+    MASTER = Schema("Rm", ["W", "V"])
+
+    def _run(self, use_violation_index, columnar):
+        from repro.relational.columns import using_backend
+
+        cfds = [CFD(self.SCHEMA, ["K"], ["V"], name="fd_kv")]
+        mds = [MD(self.SCHEMA, self.MASTER, [("W", "W")], [("V", "V")], name="md_wv")]
+        with using_backend(columnar):
+            # (0, V) is protected and the group's minority value; the MD
+            # demands it of tuple 0 and a conflicting value of tuple 2.
+            relation = Relation.from_dicts(self.SCHEMA, [
+                {"K": "k1", "V": "v1", "W": "w0"},
+                {"K": "k1", "V": "v2", "W": "w1"},
+                {"K": "k1", "V": "v2", "W": "w2"},
+                {"K": "k2", "V": "v5", "W": "w3"},
+            ])
+            master = Relation.from_dicts(self.MASTER, [
+                {"W": "w0", "V": "v1"}, {"W": "w2", "V": "v7"},
+            ])
+            result = hrepair(
+                relation, cfds, mds, master=master, protected={(0, "V")},
+                use_violation_index=use_violation_index,
+            )
+        log = [(f.tid, f.attr, f.old_value, f.new_value, f.rule_name)
+               for f in result.fix_log]
+        return log, result.relation
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "dict"])
+    def test_matches_the_legacy_engine_and_keeps_the_frozen_value(self, columnar):
+        log, repaired = self._run(True, columnar)
+        legacy_log, _ = self._run(False, columnar)
+        assert log == legacy_log
+        assert repaired.by_tid(0)["V"] == "v1"  # never written
+        assert all(tid != 0 or attr != "V" for tid, attr, *_ in log)
+        # The frozen value dictates the group against the majority.
+        assert repaired.by_tid(1)["V"] == "v1"
+        assert (1, "V", "v2", "v1", "fd_kv") in log

@@ -4,10 +4,17 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.constraints import CFD
 from repro.exceptions import ConstraintError
-from repro.indexing import EntropyIndex, entropy_of_counts
+from repro.indexing import (
+    EntropyIndex,
+    GroupStoreRegistry,
+    entropy_of_counts,
+    rank_conflicting,
+)
 from repro.relational import NULL, Relation, Schema
 
 
@@ -164,3 +171,57 @@ class TestMaintenance:
         index = EntropyIndex(phi, example_relation)
         t = example_relation.by_tid(7)
         assert index.group_of(t).key == ("a2", "b2", "c4")
+
+
+# ----------------------------------------------------------------------
+# On-demand ranking (eRepair's indexed path) against the AVL walk
+# ----------------------------------------------------------------------
+NAN = float("nan")  # one shared object: a group key equal to itself
+OTHER_NAN = float("nan")  # a second NaN key that prints alike
+R_SCHEMA = Schema("V", ["K", "V"])
+KV = CFD(R_SCHEMA, ["K"], ["V"], name="kv")
+#: Group keys include both NaN objects; every value pattern recurs, so
+#: equal entropies are common (ties broken by sort key, then min tid).
+rank_keys = st.sampled_from(["k1", "k2", "k3", "k4", NAN, OTHER_NAN, NULL])
+rank_values = st.sampled_from(["x", "y", "z", NULL])
+rank_rows = st.lists(st.tuples(rank_keys, rank_values), min_size=1, max_size=16)
+rank_edits = st.lists(
+    st.tuples(st.integers(0, 15), st.sampled_from(["K", "V"]),
+              st.one_of(rank_keys, rank_values)),
+    max_size=8,
+)
+#: The two conflicting groups keyed by distinct NaN objects.
+NAN_GROUP_ROWS = [(NAN, "x"), (NAN, "y"), (OTHER_NAN, "x"), (OTHER_NAN, "y")]
+
+
+class TestRankConflicting:
+    @given(rank_rows, rank_edits, st.sets(st.integers(0, 15)),
+           st.sampled_from([0.5, 0.8, 1.0, 1.01]))
+    @settings(max_examples=150, deadline=None)
+    @example(NAN_GROUP_ROWS, [], {0, 2}, 1.01)
+    @example([("k1", "x"), ("k1", "y"), ("k2", "y"), ("k2", "x")], [],
+             {0, 1, 2, 3}, 1.01)
+    def test_equals_the_avl_walk_over_dirty_keys(
+        self, rows, edits, dirty_tids, delta2
+    ):
+        """Ranking the dirty groups by the AVL key equals walking the AVL
+        in order and keeping the dirty groups with 0 < H < δ2."""
+        relation = Relation.from_dicts(
+            R_SCHEMA, [{"K": k, "V": v} for k, v in rows]
+        )
+        index = EntropyIndex(KV, relation)
+        relation.add_observer(index.on_cell_changed)
+        registry = GroupStoreRegistry(relation)
+        store = registry.cfd_store(KV)
+        for raw, attr, value in edits:
+            tids = relation.tids()
+            relation.set_value(relation.by_tid(tids[raw % len(tids)]), attr, value)
+        dirty = {store.key_of[t] for t in dirty_tids if t in store.key_of}
+        expected = [
+            (rank, group.key)
+            for rank, group in index.conflicting_entries()
+            if group.key in dirty and group.entropy < delta2
+        ]
+        ranked = rank_conflicting([store.groups[k] for k in dirty], delta2)
+        assert [(rank, group.key) for rank, group in ranked] == expected
+        registry.detach()

@@ -5,11 +5,7 @@ from hypothesis import strategies as st
 
 from repro.constraints import CFD, MD
 from repro.constraints.rules import derive_rules
-from repro.indexing import (
-    EntropyIndex,
-    GroupStoreRegistry,
-    ViolationIndex,
-)
+from repro.indexing import GroupStoreRegistry
 from repro.relational import NULL, Relation, Schema
 
 SCHEMA = Schema("R", ["K", "A", "B"])
@@ -45,40 +41,6 @@ class TestSharing:
         registry = GroupStoreRegistry(relation)
         assert registry.cfd_store(CFDS[0]) is registry.cfd_store(CFDS[0])
 
-    def test_entropy_index_and_violation_index_share_one_store(self):
-        """The ROADMAP 'unify groupings' item: eRepair's entropy stats and
-        the violation index partitions of the same CFD are views over ONE
-        backing group store — a cell change walks the grouping once."""
-        relation = build([("k1", "a1", "b1"), ("k1", "a2", "b1")])
-        registry = GroupStoreRegistry(relation)
-        rules = derive_rules(CFDS, MDS)
-        vindex = ViolationIndex(relation, rules, registry=registry)
-        entropy = EntropyIndex(CFDS[0], store=registry.cfd_store(CFDS[0]))
-        idx = next(
-            i for i, rule in enumerate(rules)
-            if getattr(rule, "cfd", None) is CFDS[0]
-        )
-        assert vindex._cfd_parts[idx] is entropy.store
-        # One relation-level observer dispatch updates both consumers.
-        t = relation.by_tid(0)
-        relation.set_value(t, "A", "zzz")
-        group = entropy.store.groups[("k1",)]
-        assert "zzz" in group.value_counts
-        assert vindex.members(idx, ("k1",)) == [0, 1]
-        vindex.detach()
-        entropy.detach()
-
-    def test_shared_entropy_index_rejects_direct_mutation(self):
-        relation = build([("k1", "a1", "b1")])
-        registry = GroupStoreRegistry(relation)
-        entropy = EntropyIndex(CFDS[0], store=registry.cfd_store(CFDS[0]))
-        try:
-            entropy.add_tuple(relation.by_tid(0))
-        except RuntimeError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("shared EntropyIndex must reject mutators")
-
 
 class TestCoherence:
     @given(rows, steps)
@@ -99,24 +61,6 @@ class TestCoherence:
             elif op[0] == "delete" and len(live) > 1:
                 relation.remove(live[op[1] % len(live)])
         registry.check_consistency()
-        registry.detach()
-
-    @given(rows, steps)
-    @settings(max_examples=40, deadline=None)
-    def test_entropy_view_tracks_shared_store(self, data, ops):
-        relation = build(data)
-        registry = GroupStoreRegistry(relation)
-        entropy = EntropyIndex(CFDS[1], store=registry.cfd_store(CFDS[1]))
-        for op in ops:
-            live = relation.tids()
-            if op[0] == "set" and live:
-                relation.set_value(relation.by_tid(live[op[1] % len(live)]), op[2], op[3])
-            elif op[0] == "insert":
-                relation.add_row({"K": op[1], "A": op[2], "B": op[3]})
-            elif op[0] == "delete" and len(live) > 1:
-                relation.remove(live[op[1] % len(live)])
-        entropy.check_consistency(relation)
-        entropy.detach()
         registry.detach()
 
 

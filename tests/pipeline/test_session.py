@@ -1,6 +1,7 @@
 """CleaningSession: persistent state, delta-driven re-cleaning, wrappers."""
 
 import random
+import sys
 
 import pytest
 
@@ -411,3 +412,121 @@ class TestUniCleanWrapper:
         second = cleaner.clean(build_relation(DIRTY))
         assert dict(cleaner._md_indexes) == cached
         assert [f.cell for f in first.fix_log] == [f.cell for f in second.fix_log]
+
+
+#: name -> (rows, changeset ops, expected ``full_reclean_reason``); each
+#: is the smallest case found for its reason (eta = 0.8).
+REASON_CASES = {
+    "scoped": (
+        [("k1", "b1", "b2", 0.0, 0.5, 0.0), ("k3", "b1", "a1", 0.0, 0.5, 0.0)],
+        [("edit", 0, "B", "b1", 1.0)], None,
+    ),
+    "insert": (DIRTY, [("insert", {"K": "k1", "A": "a1", "B": "b1"})],
+               ("insert", None)),
+    "premise_edit": (DIRTY, [("edit", 0, "K", "k2", None)],
+                     ("premise_cell", (0, "K"))),
+    "premise_delete": (
+        [("k2", "a2", "a1", 0.5, 1.0, 1.0), ("k2", "a2", "a1", 1.0, 0.0, 1.0)],
+        [("delete", 1)], ("premise_cell", (0, "A")),
+    ),
+    "transit": (
+        [("k1", "a1", "b2", 0.0, 1.0, 0.0), ("k1", "b2", "b1", 1.0, 0.5, 1.0)],
+        [("edit", 1, "B", "b2", 1.0)], ("transit", ("A", "a1")),
+    ),
+    "evolved_membership": (
+        [("k2", "a1", "a1", 1.0, 0.5, 0.5), ("k1", "a1", "b2", 1.0, 0.5, 0.5)],
+        [("edit", 1, "B", "b1", 0.0)], ("evolved_membership", (0, "A")),
+    ),
+    "escaped_write": (
+        [("k1", "a2", "a1", 0.0, 1.0, 0.5), ("k1", "a2", "b1", 0.0, 1.0, 0.0)],
+        [("edit", 0, "B", "b2", 1.0)], ("escaped_write", (1, "K")),
+    ),
+}
+
+
+def _changeset(ops) -> Changeset:
+    changeset = Changeset()
+    for op in ops:
+        if op[0] == "edit":
+            _tag, tid, attr, value, conf = op
+            if conf is None:
+                changeset.edit(tid, attr, value)
+            else:
+                changeset.edit(tid, attr, value, conf=conf)
+        elif op[0] == "insert":
+            changeset.insert(op[1])
+        else:
+            changeset.delete(op[1])
+    return changeset
+
+
+def _reason_of(name, columnar, config=None):
+    rows, ops, _expected = REASON_CASES[name]
+    config = config or UniCleanConfig(eta=0.8)
+    with using_backend(columnar):
+        session = CleaningSession(
+            cfds=CFDS, mds=MDS, master=build_master(), config=config
+        )
+        session.clean(build_relation(rows))
+        out = session.apply(_changeset(ops))
+        assert state(out.repaired) == scratch_state(session.base, config)
+    assert out.full_reclean == (out.full_reclean_reason is not None)
+    return out.full_reclean_reason
+
+
+#: Run in a subprocess per hash seed: the reasons of every case above
+#: plus a run of PART deletes, whose closures start from several seeds.
+_SEEDED_REASONS = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_session import REASON_CASES, _reason_of
+from repro.core import UniCleanConfig
+from repro.datasets import generate_partitioned
+from repro.pipeline import Changeset, CleaningSession
+out = [(name, _reason_of(name, True)) for name in sorted(REASON_CASES)]
+ds = generate_partitioned(size=500, n_blocks=2, seed=1)
+session = CleaningSession(cfds=ds.cfds, mds=ds.mds, master=ds.master,
+                          config=UniCleanConfig(eta=1.0))
+session.clean(ds.dirty)
+for tid in (3, 17, 40, 101, 166, 260, 333, 420):
+    out.append((tid, session.apply(Changeset().delete(tid)).full_reclean_reason))
+print(repr(out))
+"""
+
+
+class TestFullRecleanReason:
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "dict"])
+    @pytest.mark.parametrize("name", sorted(REASON_CASES))
+    def test_reason_and_witness(self, name, columnar):
+        assert _reason_of(name, columnar) == REASON_CASES[name][2]
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "dict"])
+    def test_legacy_engine(self, columnar):
+        config = UniCleanConfig(eta=0.8, use_violation_index=False)
+        assert _reason_of("scoped", columnar, config) == ("legacy_engine", None)
+
+    def test_reason_does_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        from pathlib import Path
+
+        here = Path(__file__).resolve().parent
+        src = str(here.parent.parent / "src")
+        script = _SEEDED_REASONS.format(tests=str(here))
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=300,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
+        reasons = eval(outputs.pop())  # a repr of tuples of literals
+        assert all(
+            reason == REASON_CASES[name][2]
+            for name, reason in reasons if isinstance(name, str)
+        )

@@ -549,3 +549,33 @@ class TestReviewRegressions:
         result = sharded.clean(ds.dirty)
         assert sharded.is_clean() == result.clean
         sharded.close()
+
+
+class TestEarlierResultsStayFixed:
+    """A scoped apply whose splice removes no fix must not record into
+    the log an earlier result handed out, on either session kind."""
+
+    @pytest.mark.parametrize("kind", ["sharded", "unsharded"])
+    def test_earlier_fix_logs_are_not_extended(self, kind):
+        ds = generate_partitioned(size=200, n_blocks=4, seed=1)
+        rows = {t.tid: t.as_dict() for t in ds.dirty}
+        if kind == "sharded":
+            session = ShardedCleaningSession(
+                cfds=ds.cfds, mds=ds.mds, master=ds.master,
+                config=UniCleanConfig(), n_workers=1, n_shards=2,
+            )
+        else:
+            session = CleaningSession(
+                cfds=ds.cfds, mds=ds.mds, master=ds.master,
+                config=UniCleanConfig(),
+            )
+        session.clean(ds.dirty)
+        held = []
+        for tid, donor in [(3, 4), (5, 6), (11, 12), (33, 34)]:
+            out = session.apply(Changeset().edit(tid, "cat", rows[donor]["cat"]))
+            assert not out.full_reclean
+            held.append((out.fix_log, fingerprint(out.fix_log)))
+        session.close()
+        assert len({len(fp) for _log, fp in held}) > 1  # the logs grew
+        for log, fp in held:
+            assert fingerprint(log) == fp

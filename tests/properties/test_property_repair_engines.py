@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.consistency import relation_violations
+from repro.analysis.consistency import relation_is_clean, relation_violations
 from repro.constraints import CFD, MD
 from repro.core import UniClean, UniCleanConfig
 from repro.evaluation import generate
@@ -245,6 +245,10 @@ NAN_GROUP_ROWS = [
 ]
 
 
+#: One tuple whose ``c`` holds the shared NaN object.
+SAME_NAN_ROWS = [("k", "x", NAN, None)]
+
+
 def _value_rules(names, constant):
     cfds = []
     if "fd_ab" in names:
@@ -331,6 +335,10 @@ class TestValueDomain:
     # refused where it enters, with the typed error.
     @example([("k", UNHASHABLE, "x", None), ("k", "x", "x", None)], ["fd_ab"],
              ("k", "x"), [("k", "x")])
+    # A cell holding its master match's very NaN object is identified,
+    # and so is one holding a constant CFD's very NaN constant.
+    @example(SAME_NAN_ROWS, ["md"], ("k", "x"), [("k", NAN)])
+    @example(SAME_NAN_ROWS, ["const"], ("k", NAN), [("k", "x")])
     def test_columnar_matches_dict_oracle(self, rows, names, constant, master):
         results = {
             name: _value_observables(rows, names, constant, master, columnar)
@@ -364,3 +372,26 @@ class TestValueDomain:
             logs[name] = _fingerprint(result.fix_log, _show)
         assert logs["columnar"] == logs["dict"]
         assert logs["dict"]  # both groups conflict and get repaired
+
+
+class TestSameNaNIsIdentified:
+    """A cell holding the very NaN object its rule demands agrees with it
+    (identity first, as every repair write compares): MD ``a -> c`` over
+    master ``{a: k, c: NAN}`` and constant CFD ``a -> c`` with pattern
+    ``{a: k, c: NAN}``, each over the row ``{a: k, b: x, c: NAN}``, are
+    satisfied and need no fix, on both backends."""
+
+    @pytest.mark.parametrize("columnar", BACKENDS.values(), ids=BACKENDS.keys())
+    @pytest.mark.parametrize("rule", ["md", "const"])
+    def test_no_fix_and_clean_verdict(self, rule, columnar):
+        cfds, mds = _value_rules([rule], ("k", NAN))
+        with using_backend(columnar):
+            relation = Relation(V_SCHEMA)
+            for a, b, c, _conf in SAME_NAN_ROWS:
+                relation.add_row({"a": a, "b": b, "c": c})
+            master = Relation.from_dicts(V_MASTER_SCHEMA, [{"a": "k", "c": NAN}])
+            assert relation_is_clean(relation, cfds, mds, master)
+            result = UniClean(cfds=cfds, mds=mds, master=master).clean(relation)
+        assert list(result.fix_log) == []
+        assert result.clean
+        assert result.repaired.by_tid(0)["c"] is NAN
